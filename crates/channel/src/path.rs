@@ -163,13 +163,6 @@ impl MultipathChannel {
                 .collect(),
         }
     }
-
-    /// Average wideband SNR (linear) when this channel carries unit-power
-    /// signal over noise power `noise_var`, ignoring fading selectivity:
-    /// `total_power / noise_var`.
-    pub fn mean_snr_linear(&self, noise_var: f64) -> f64 {
-        self.total_power() / noise_var
-    }
 }
 
 /// Builds a path with gain given in dB (power) and phase in radians.

@@ -65,11 +65,6 @@ impl ShadowingTrack {
         self.state_db
     }
 
-    /// Current value without advancing (0 until first `advance`).
-    pub fn current_db(&self) -> f64 {
-        self.state_db
-    }
-
     /// Configured standard deviation in dB.
     pub fn sigma_db(&self) -> f64 {
         self.sigma_db

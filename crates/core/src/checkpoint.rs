@@ -258,15 +258,6 @@ impl RunPolicy {
         p
     }
 
-    /// This policy with `hook` installed as the cancellation check.
-    pub fn with_cancel(
-        mut self,
-        hook: std::sync::Arc<dyn Fn() -> bool + Send + Sync>,
-    ) -> Self {
-        self.cancel = Some(hook);
-        self
-    }
-
     /// True when the cancellation hook reports the campaign should
     /// stop at the next wave boundary.
     pub fn cancelled(&self) -> bool {

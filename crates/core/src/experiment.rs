@@ -485,23 +485,11 @@ impl Comparison {
         }
     }
 
-    /// ε over total failure counts.
-    pub fn total_failure_epsilon(&self) -> f64 {
-        Self::epsilon(self.legacy.failures.len() as f64, self.rem.failures.len() as f64)
-    }
-
     /// ε over failures excluding coverage holes.
     pub fn no_hole_failure_epsilon(&self) -> f64 {
         let count = |m: &RunMetrics| {
             m.failures.iter().filter(|f| f.cause != FailureCause::CoverageHole).count() as f64
         };
-        Self::epsilon(count(&self.legacy), count(&self.rem))
-    }
-
-    /// ε for one failure cause.
-    pub fn cause_epsilon(&self, cause: FailureCause) -> f64 {
-        let count =
-            |m: &RunMetrics| m.failures.iter().filter(|f| f.cause == cause).count() as f64;
         Self::epsilon(count(&self.legacy), count(&self.rem))
     }
 }

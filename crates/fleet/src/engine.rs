@@ -270,9 +270,9 @@ fn migrate(
             st.handovers += 1;
             p.p_ue_ho_fail
         }
-        // Reattaches reset the trigger state the outage invalidated.
+        // Reattaches reset the trigger state the outage invalidated (the
+        // A3 monitor was already re-armed when the RLF timer expired).
         IntentKind::Reattach | IntentKind::Despawn => {
-            st.ttt_epochs = 0;
             st.rlf_epochs = 0;
             p.p_ue_reattach_fail
         }

@@ -12,11 +12,20 @@
 //! timer. They are constants, not knobs — the fleet engine answers
 //! *rate and scale* questions; per-parameter studies belong to
 //! `rem-sim`'s 20 ms replay.
+//!
+//! The A3 rule is a `rem-mobility` [`EventConfig`]: every train
+//! evaluates it on its own [`EventMonitor`], the same time-to-trigger
+//! code `rem-sim` runs, clocked by the epoch index instead of
+//! milliseconds (see [`Params::a3`]).
+//!
+//! [`EventMonitor`]: rem_mobility::EventMonitor
 
 use crate::ids::CellId;
 use crate::spec::FleetSpec;
+use rem_mobility::events::{EventConfig, EventKind};
 
-/// A3 hysteresis (dB), matching the single-train simulator's A3 rule.
+/// A3 margin (dB) by which the neighbour must beat the serving cell,
+/// matching the single-train simulator's A3 rule.
 pub const HYST_DB: f64 = 3.0;
 /// A3 time-to-trigger (ms).
 pub const TTT_MS: f64 = 400.0;
@@ -59,10 +68,12 @@ pub struct Params {
     pub tx_dbm: f64,
     /// Shadowing sigma (dB).
     pub shadow_sigma_db: f64,
-    /// A3 hysteresis (dB).
-    pub hyst_db: f64,
-    /// A3 time-to-trigger, in whole epochs (at least 1).
-    pub ttt_epochs: u16,
+    /// The A3 rule: the neighbour beats the serving cell by more than
+    /// [`HYST_DB`] for the whole time-to-trigger. The monitors that run
+    /// it are clocked by the epoch index, so `ttt_ms` counts *epochs*:
+    /// [`TTT_MS`] rounded up to whole epochs (at least one), less the
+    /// epoch on which the condition first holds.
+    pub a3: EventConfig,
     /// RLF threshold (dBm).
     pub rlf_dbm: f64,
     /// RLF timer, in whole epochs (at least 1).
@@ -88,8 +99,11 @@ impl Params {
             n_cells: spec.n_cells(),
             tx_dbm: TX_DBM,
             shadow_sigma_db: SHADOW_SIGMA_DB,
-            hyst_db: HYST_DB,
-            ttt_epochs: epochs_of(TTT_MS),
+            a3: EventConfig {
+                kind: EventKind::A3 { offset: HYST_DB },
+                ttt_ms: f64::from(epochs_of(TTT_MS) - 1),
+                hysteresis_db: 0.0,
+            },
             rlf_dbm: RLF_DBM,
             rlf_epochs: epochs_of(RLF_TIMER_MS),
             admission_per_epoch: ADMISSION_PER_EPOCH,
@@ -189,10 +203,12 @@ mod tests {
     fn timer_conversion_rounds_up_and_floors_at_one_epoch() {
         let spec = FleetSpec { epoch_ms: 300.0, ..FleetSpec::default() };
         let p = Params::from_spec(&spec);
-        assert_eq!(p.ttt_epochs, 2, "400 ms at 300 ms epochs is 2 epochs");
+        // 400 ms at 300 ms epochs is 2 epochs: the one the condition
+        // first holds on, plus one more on the monitor's epoch clock.
+        assert_eq!(p.a3.ttt_ms, 1.0);
         let coarse = FleetSpec { epoch_ms: 5_000.0, ..FleetSpec::default() };
         let p = Params::from_spec(&coarse);
-        assert_eq!(p.ttt_epochs, 1);
+        assert_eq!(p.a3.ttt_ms, 0.0, "one epoch: fires on the first");
         assert_eq!(p.rlf_epochs, 1);
     }
 }

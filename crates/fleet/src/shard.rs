@@ -15,10 +15,14 @@
 //! neighbour geometry of a whole batch is computed once and the SoA
 //! columns are walked in cache order — the Vienna-simulator style of
 //! evaluation, instead of re-deriving the environment per UE.
+//!
+//! Each train's A3 time-to-trigger runs on its own `rem-mobility`
+//! [`EventMonitor`] (see [`crate::params::Params::a3`]).
 
-use crate::ids::{CellId, TrainId, UeId};
+use crate::ids::{CellId, TrainId};
 use crate::params::Params;
 use crate::rng::{gauss, Stream};
+use rem_mobility::EventMonitor;
 
 /// What a train asks the epoch barrier for. At most one intent per
 /// train per epoch, by construction of [`Shard::advance`].
@@ -58,8 +62,8 @@ pub struct TrainState {
     pub speed_mps: f64,
     /// Serving cell.
     pub serving: CellId,
-    /// Consecutive epochs the A3 condition has held.
-    pub ttt_epochs: u16,
+    /// A3 time-to-trigger state.
+    pub a3: EventMonitor,
     /// Consecutive epochs below the RLF threshold.
     pub rlf_epochs: u16,
     /// Completed handovers.
@@ -85,7 +89,7 @@ impl TrainState {
             pos_m,
             speed_mps,
             serving,
-            ttt_epochs: 0,
+            a3: EventMonitor::default(),
             rlf_epochs: 0,
             handovers: 0,
             denied: 0,
@@ -108,7 +112,7 @@ pub struct Shard {
     pos_m: Vec<f64>,
     speed_mps: Vec<f64>,
     serving: Vec<u32>,
-    ttt_epochs: Vec<u16>,
+    a3: Vec<EventMonitor>,
     rlf_epochs: Vec<u16>,
     handovers: Vec<u32>,
     denied: Vec<u32>,
@@ -158,7 +162,7 @@ impl Shard {
         self.pos_m.push(t.pos_m);
         self.speed_mps.push(t.speed_mps);
         self.serving.push(t.serving.0);
-        self.ttt_epochs.push(t.ttt_epochs);
+        self.a3.push(t.a3);
         self.rlf_epochs.push(t.rlf_epochs);
         self.handovers.push(t.handovers);
         self.denied.push(t.denied);
@@ -181,7 +185,7 @@ impl Shard {
             pos_m: self.pos_m[local],
             speed_mps: self.speed_mps[local],
             serving: CellId(self.serving[local]),
-            ttt_epochs: self.ttt_epochs[local],
+            a3: self.a3[local],
             rlf_epochs: self.rlf_epochs[local],
             handovers: self.handovers[local],
             denied: self.denied[local],
@@ -194,7 +198,7 @@ impl Shard {
         self.pos_m.swap_remove(local);
         self.speed_mps.swap_remove(local);
         self.serving.swap_remove(local);
-        self.ttt_epochs.swap_remove(local);
+        self.a3.swap_remove(local);
         self.rlf_epochs.swap_remove(local);
         self.handovers.swap_remove(local);
         self.denied.swap_remove(local);
@@ -218,23 +222,6 @@ impl Shard {
     pub fn deny(&mut self, train: TrainId) {
         let local = *self.index_of.get(&train.0).expect("train resident in shard") as usize;
         self.denied[local] += 1;
-    }
-
-    /// Credits a resident train with a batch of UE signaling outcomes
-    /// (drawn by the engine at the barrier, where the canonical order
-    /// lives).
-    pub fn credit_ue_outcomes(&mut self, train: TrainId, events: u64, failures: u64) {
-        let local = *self.index_of.get(&train.0).expect("train resident in shard") as usize;
-        self.ue_events[local] += events;
-        self.ue_failures[local] += failures;
-    }
-
-    /// Marks seat `seat` of a resident train as having failed once
-    /// more (saturating).
-    pub fn mark_ue_failure(&mut self, train: TrainId, seat: u32) {
-        let local = *self.index_of.get(&train.0).expect("train resident in shard") as usize;
-        let at = local * self.ues_per_train as usize + seat as usize;
-        self.ue_fail[at] = self.ue_fail[at].saturating_add(1);
     }
 
     /// One fleet epoch over every resident train, batched per serving
@@ -288,7 +275,7 @@ impl Shard {
                 }
                 if self.rlf_epochs[i] >= p.rlf_epochs {
                     self.rlf_epochs[i] = 0;
-                    self.ttt_epochs[i] = 0;
+                    self.a3[i].reset();
                     self.rlfs[i] += 1;
                     out.push(Intent { train, target: gcell, kind: IntentKind::Reattach });
                     continue;
@@ -296,20 +283,14 @@ impl Shard {
 
                 // A3 against the strongest geographic neighbour.
                 let Some(cand) = p.neighbor_of(CellId(cell), pos) else {
-                    self.ttt_epochs[i] = 0;
+                    self.a3[i].reset();
                     continue;
                 };
                 let shadow_n = p.shadow_sigma_db
                     * gauss(p.seed, train.0 as u64, epoch as u64, Stream::ShadowNeighbor);
                 let cand_x = p.cell_center_m(cand);
                 let rsrp_n = p.tx_dbm - p.pathloss_db((pos - cand_x).abs()) + shadow_n;
-                if rsrp_n > rsrp_s + p.hyst_db {
-                    self.ttt_epochs[i] += 1;
-                } else {
-                    self.ttt_epochs[i] = 0;
-                }
-                if self.ttt_epochs[i] >= p.ttt_epochs {
-                    self.ttt_epochs[i] = 0;
+                if a3_fires(&mut self.a3[i], p, epoch, rsrp_s, rsrp_n) {
                     out.push(Intent { train, target: cand, kind: IntentKind::Handover });
                 }
             }
@@ -324,20 +305,28 @@ impl Shard {
         ids.sort_unstable();
         ids.into_iter().map(|id| self.remove(TrainId(id))).collect()
     }
+}
 
-    /// The UE ids resident on a train (used by tests; the engine works
-    /// in seat indices).
-    pub fn ue_ids_of(&self, train: TrainId) -> Vec<UeId> {
-        (0..self.ues_per_train).map(|s| UeId::of(train, s, self.ues_per_train)).collect()
+/// One epoch of a train's A3 time-to-trigger: observes the margin on
+/// the train's monitor, clocked by the epoch index, and re-arms the
+/// monitor when it fires. A train whose handover is then denied stays
+/// on its serving cell and asks again one full time-to-trigger later.
+fn a3_fires(a3: &mut EventMonitor, p: &Params, epoch: u32, rsrp_s: f64, rsrp_n: f64) -> bool {
+    let fired = a3.observe(&p.a3, f64::from(epoch), rsrp_s, rsrp_n);
+    if fired {
+        a3.reset();
     }
+    fired
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::{HYST_DB, TTT_MS};
+    use crate::FleetSpec;
 
     fn params() -> Params {
-        Params::from_spec(&crate::FleetSpec::default())
+        Params::from_spec(&FleetSpec::default())
     }
 
     fn train(id: u32, pos: f64, serving: u32) -> TrainState {
@@ -346,16 +335,21 @@ mod tests {
 
     #[test]
     fn insert_remove_round_trips_every_column() {
+        let p = params();
         let mut shard = Shard::new(0, 10, 4);
         let mut t = train(3, 1234.5, 1);
         t.handovers = 7;
         t.ue_fail = vec![1, 0, 2, 0];
+        // A3 condition entered on epoch 10: with a 3-epoch wait it
+        // fires on epoch 13.
+        assert!(!t.a3.observe(&p.a3, 10.0, -100.0, -90.0));
         shard.insert(t.clone());
         shard.insert(train(9, 50.0, 0));
-        let back = shard.remove(TrainId(3));
+        let mut back = shard.remove(TrainId(3));
         assert_eq!(back.handovers, 7);
         assert_eq!(back.ue_fail, vec![1, 0, 2, 0]);
         assert_eq!(back.pos_m, 1234.5);
+        assert!(back.a3.observe(&p.a3, 13.0, -100.0, -90.0));
         assert_eq!(shard.len(), 1);
         let other = shard.remove(TrainId(9));
         assert_eq!(other.pos_m, 50.0);
@@ -406,5 +400,90 @@ mod tests {
         shard.advance(0, &p, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, IntentKind::Despawn);
+    }
+
+    /// Drives one stationary, unshadowed train served by cell 0 (site at
+    /// 500 m; cell 1's at 1 500 m) through `advance`, one epoch per
+    /// script letter, and returns the intents it produced. `H`: the
+    /// neighbour is 22.6 dB ahead, so A3 holds; `D`: it is 0.65 dB
+    /// ahead, so A3 does not hold; `N`: there is no neighbour cell; `R`:
+    /// a one-epoch RLF timer expires.
+    fn run_script(script: &str) -> Vec<(u32, IntentKind)> {
+        let p = Params { shadow_sigma_db: 0.0, ..params() };
+        let no_neighbour = Params { n_cells: 1, ..p.clone() };
+        let rlf = Params { rlf_dbm: 0.0, rlf_epochs: 1, ..p.clone() };
+        let mut shard = Shard::new(0, p.n_cells, 4);
+        shard.insert(TrainState { speed_mps: 0.0, ..train(0, 0.0, 0) });
+        let mut intents = Vec::new();
+        for (epoch, step) in (0..).zip(script.chars().filter(|c| *c != ' ')) {
+            let (pos_m, p) = match step {
+                'H' => (1_300.0, &p),
+                'D' => (1_010.0, &p),
+                'N' => (1_300.0, &no_neighbour),
+                _ => (1_300.0, &rlf),
+            };
+            shard.pos_m[0] = pos_m;
+            let mut out = Vec::new();
+            shard.advance(epoch, p, &mut out);
+            intents.extend(out.iter().map(|x| (epoch, x.kind)));
+        }
+        intents
+    }
+
+    #[test]
+    fn a3_trigger_counts_consecutive_epochs_and_rearms() {
+        use IntentKind::{Handover, Reattach};
+        // 400 ms at 100 ms epochs: the fourth consecutive epoch the
+        // condition holds fires. In groups of four epochs: a dip
+        // restarts the count; a full run fires (7); a train still on its
+        // cell, as after a denial, fires again one TTT later (11); losing
+        // the neighbour (15) and an RLF (19) restart the count.
+        let intents = run_script("HHHD HHHH HHHH HHHN HHHR HHHH");
+        assert_eq!(intents, [(7, Handover), (11, Handover), (19, Reattach), (23, Handover)]);
+    }
+
+    /// The trigger fires on exactly the epochs a consecutive-epoch
+    /// counter does, for every time-to-trigger of 1 to 8 epochs.
+    /// Margins stay away from zero: on an exact tie
+    /// (`rsrp_n == rsrp_s + HYST_DB`) the counter restarts while the
+    /// monitor neither enters nor leaves.
+    #[test]
+    fn a3_trigger_matches_a_consecutive_epoch_counter() {
+        let mut fires = 0;
+        rem_integration::check(
+            "fleet_a3_trigger_matches_a_consecutive_epoch_counter",
+            128,
+            |g| {
+                let ttt_epochs = g.range(1u16..=8);
+                let first_epoch = g.range(0u32..100_000);
+                let rsrp_s = g.range(-120.0f64..-60.0);
+                let margins = g.vec(1..64, |g| {
+                    // Mostly holding, so long runs occur.
+                    let sign = if g.range(0..5) > 0 { 1.0 } else { -1.0 };
+                    sign * g.range(0.01f64..6.0)
+                });
+                (ttt_epochs, first_epoch, rsrp_s, margins)
+            },
+            |(ttt_epochs, first_epoch, rsrp_s, margins)| {
+                // ceil(TTT_MS / epoch_ms) == ttt_epochs, half an epoch
+                // away from either rounding edge.
+                let epoch_ms = TTT_MS / (f64::from(*ttt_epochs) - 0.5);
+                let p = Params::from_spec(&FleetSpec { epoch_ms, ..FleetSpec::default() });
+                let mut monitor = EventMonitor::default();
+                let mut held = 0;
+                for (epoch, m) in (*first_epoch..).zip(margins) {
+                    let rsrp_n = rsrp_s + HYST_DB + m;
+                    held = if rsrp_n > rsrp_s + HYST_DB { held + 1 } else { 0 };
+                    let want = held == *ttt_epochs;
+                    if want {
+                        held = 0;
+                        fires += 1;
+                    }
+                    let got = a3_fires(&mut monitor, &p, epoch, *rsrp_s, rsrp_n);
+                    assert_eq!(got, want, "epoch {epoch}");
+                }
+            },
+        );
+        assert!(fires > 100, "the cases must exercise the trigger: {fires} fires");
     }
 }

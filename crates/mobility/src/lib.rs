@@ -4,12 +4,17 @@
 //!
 //! The 4G/5G mobility-management machinery of the REM reproduction:
 //! measurement events A1–A5 with time-to-trigger (paper Table 1),
-//! multi-stage handover policies and their runtime engine (Fig 1b),
+//! the multi-stage handover policies operators configure (Fig 1b),
 //! RRC-style signaling messages, the handover state machine and
 //! failure taxonomy (Table 2), feedback-delay models (Figs 2a/14a),
 //! policy-conflict detection and classification (Table 3, Figs 3–4),
 //! and REM's policy simplification with Theorem 2/3 conflict freedom
 //! (§5.3, Fig 8).
+//!
+//! [`EventMonitor`] is the workspace's one time-to-trigger
+//! implementation. `rem-sim` evaluates the policies on it epoch by
+//! epoch (its replay is the policies' runtime), and `rem-fleet` runs
+//! each train's A3 trigger on it.
 
 pub mod capacity;
 pub mod conflict;
@@ -25,10 +30,7 @@ pub use capacity::{capacity_equivalent_a3_offset, capacity_mbps};
 pub use conflict::{a3_graph_from_policies, scan_conflicts, A3Graph, TwoCellConflict};
 pub use events::{EventConfig, EventKind, EventMonitor};
 pub use messages::RrcMessage;
-pub use policy::{
-    CellId, CellPolicy, Earfcn, HandoverRule, NeighborMeasurement, PolicyAction, PolicyEngine,
-    TargetScope,
-};
+pub use policy::{CellId, CellPolicy, Earfcn, HandoverRule, TargetScope};
 pub use rem_policy::{rem_policies, simplify_policy, SimplifyConfig};
 pub use statemachine::{
     FailureCause, HandoverAttempt, HoPhase, InvalidTransition, SupervisionExpiry, SupervisionTimers,

@@ -1,4 +1,5 @@
-//! Handover policies and the multi-stage decision engine (paper §3.2).
+//! Handover policies (paper §3.2): the data every serving cell is
+//! configured with.
 //!
 //! Each serving cell runs a local policy: a set of [`HandoverRule`]s
 //! (event + target scope). Operators deploy *multi-stage* policies
@@ -7,10 +8,14 @@
 //! weak") gate because it costs measurement gaps, and torn down again
 //! on A1 ("serving strong"). REM collapses this to single-stage A3-only
 //! policies over cross-band-estimated qualities (§5.3).
+//!
+//! This module holds the policies only; conflict analysis reads them
+//! ([`crate::conflict`], [`crate::rem_policy`]). The runtime that
+//! evaluates them epoch by epoch, on [`crate::events::EventMonitor`],
+//! is `rem-sim`'s replay.
 
-use crate::events::{EventConfig, EventKind, EventMonitor};
+use crate::events::{EventConfig, EventKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Globally unique cell identifier (ECI-like).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -75,174 +80,6 @@ impl CellPolicy {
     }
 }
 
-/// One neighbour measurement sample.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct NeighborMeasurement {
-    /// The measured cell.
-    pub cell: CellId,
-    /// Its frequency.
-    pub earfcn: Earfcn,
-    /// Measured quality (RSRP dBm for legacy, delay-Doppler SNR dB for REM).
-    pub quality: f64,
-}
-
-/// Actions the policy engine can emit.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum PolicyAction {
-    /// Hand over to this cell (the rule that fired is included).
-    Handover {
-        /// Chosen target.
-        target: CellId,
-        /// Event type name that triggered ("A3", "A4", ...).
-        rule_event: EventKind,
-    },
-    /// Stage 2 activated: the client must be reconfigured for
-    /// inter-frequency measurements (costs a round trip + gaps).
-    EnterStage2,
-    /// Stage 2 deactivated.
-    ExitStage2,
-}
-
-/// Which monitoring stage the engine is in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Stage {
-    /// Intra-frequency monitoring only.
-    IntraOnly,
-    /// Intra + inter-frequency monitoring.
-    IntraInter,
-}
-
-/// Runtime evaluation of a [`CellPolicy`] over a measurement stream.
-#[derive(Clone, Debug)]
-pub struct PolicyEngine {
-    policy: CellPolicy,
-    stage: Stage,
-    /// Monitors keyed by (rule index into stage1+stage2, candidate cell).
-    monitors: HashMap<(usize, CellId), EventMonitor>,
-    a2_monitor: EventMonitor,
-    a1_monitor: EventMonitor,
-}
-
-impl PolicyEngine {
-    /// Creates an engine in stage 1.
-    pub fn new(policy: CellPolicy) -> Self {
-        Self {
-            policy,
-            stage: Stage::IntraOnly,
-            monitors: HashMap::new(),
-            a2_monitor: EventMonitor::default(),
-            a1_monitor: EventMonitor::default(),
-        }
-    }
-
-    /// Current stage.
-    pub fn stage(&self) -> Stage {
-        self.stage
-    }
-
-    /// The policy under evaluation.
-    pub fn policy(&self) -> &CellPolicy {
-        &self.policy
-    }
-
-    /// Whether a rule's scope admits a candidate at `earfcn`.
-    fn scope_admits(&self, scope: TargetScope, earfcn: Earfcn) -> bool {
-        match scope {
-            TargetScope::IntraFreq => earfcn == self.policy.earfcn,
-            TargetScope::InterFreq(f) => earfcn == f,
-            TargetScope::AnyFreq => true,
-        }
-    }
-
-    /// Feeds one measurement epoch. `neighbors` must contain only the
-    /// cells the client can currently measure (in legacy stage 1 that
-    /// is intra-frequency cells; the caller models measurement
-    /// capability — see `rem-sim`).
-    ///
-    /// Returns all actions triggered this epoch; at most one
-    /// [`PolicyAction::Handover`] (the best-quality candidate among
-    /// fired rules in rule order).
-    pub fn step(
-        &mut self,
-        now_ms: f64,
-        serving_quality: f64,
-        neighbors: &[NeighborMeasurement],
-    ) -> Vec<PolicyAction> {
-        let mut actions = Vec::new();
-
-        // Stage gates.
-        if self.policy.is_multi_stage() {
-            if self.stage == Stage::IntraOnly {
-                if let Some(gate) = self.policy.a2_gate {
-                    if self.a2_monitor.observe(&gate, now_ms, serving_quality, 0.0) {
-                        self.stage = Stage::IntraInter;
-                        self.a1_monitor.reset();
-                        actions.push(PolicyAction::EnterStage2);
-                    }
-                }
-            } else if let Some(exit) = self.policy.a1_exit {
-                if self.a1_monitor.observe(&exit, now_ms, serving_quality, 0.0) {
-                    self.stage = Stage::IntraOnly;
-                    self.a2_monitor.reset();
-                    // Inter-frequency monitors are torn down.
-                    let stage1_len = self.policy.stage1.len();
-                    self.monitors.retain(|(ri, _), _| *ri < stage1_len);
-                    actions.push(PolicyAction::ExitStage2);
-                }
-            }
-        }
-
-        // Evaluate rules.
-        let stage1_len = self.policy.stage1.len();
-        let rules: Vec<(usize, HandoverRule)> = self
-            .policy
-            .stage1
-            .iter()
-            .copied()
-            .enumerate()
-            .chain(
-                self.policy
-                    .stage2
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .map(|(i, r)| (i + stage1_len, r)),
-            )
-            .collect();
-
-        let mut best: Option<(f64, CellId, EventKind)> = None;
-        for (ri, rule) in rules {
-            let stage2_rule = ri >= stage1_len;
-            if stage2_rule && self.stage != Stage::IntraInter {
-                continue;
-            }
-            for nb in neighbors {
-                if !self.scope_admits(rule.target, nb.earfcn) {
-                    continue;
-                }
-                let mon = self.monitors.entry((ri, nb.cell)).or_default();
-                if mon.observe(&rule.event, now_ms, serving_quality, nb.quality)
-                    && best.is_none_or(|(q, _, _)| nb.quality > q)
-                {
-                    best = Some((nb.quality, nb.cell, rule.event.kind));
-                }
-            }
-        }
-        if let Some((_, target, rule_event)) = best {
-            actions.push(PolicyAction::Handover { target, rule_event });
-        }
-        actions
-    }
-
-    /// Clears all monitor state (call after a handover completes).
-    pub fn reset(&mut self) {
-        self.monitors.clear();
-        self.a2_monitor.reset();
-        self.a1_monitor.reset();
-        self.stage = Stage::IntraOnly;
-    }
-}
-
 /// Builds the typical legacy multi-stage policy of Fig 1b for a cell:
 /// intra-frequency A3, A2-gated inter-frequency A4 rules per listed
 /// frequency, A1 exit.
@@ -294,120 +131,12 @@ pub fn legacy_multi_stage_policy(
 mod tests {
     use super::*;
 
-    fn nb(cell: u32, earfcn: u32, q: f64) -> NeighborMeasurement {
-        NeighborMeasurement { cell: CellId(cell), earfcn: Earfcn(earfcn), quality: q }
-    }
-
-    fn simple_a3_policy(ttt: f64) -> CellPolicy {
-        CellPolicy {
-            cell: CellId(0),
-            earfcn: Earfcn(1825),
-            stage1: vec![HandoverRule {
-                event: EventConfig {
-                    kind: EventKind::A3 { offset: 3.0 },
-                    ttt_ms: ttt,
-                    hysteresis_db: 0.0,
-                },
-                target: TargetScope::IntraFreq,
-            }],
-            a2_gate: None,
-            stage2: vec![],
-            a1_exit: None,
-        }
-    }
-
-    #[test]
-    fn a3_handover_to_better_intra_cell() {
-        let mut eng = PolicyEngine::new(simple_a3_policy(0.0));
-        let actions = eng.step(0.0, -100.0, &[nb(1, 1825, -95.0)]);
-        assert_eq!(
-            actions,
-            vec![PolicyAction::Handover {
-                target: CellId(1),
-                rule_event: EventKind::A3 { offset: 3.0 }
-            }]
-        );
-    }
-
-    #[test]
-    fn inter_freq_neighbor_ignored_by_intra_rule() {
-        let mut eng = PolicyEngine::new(simple_a3_policy(0.0));
-        let actions = eng.step(0.0, -100.0, &[nb(1, 2452, -80.0)]);
-        assert!(actions.is_empty());
-    }
-
-    #[test]
-    fn best_candidate_wins() {
-        let mut eng = PolicyEngine::new(simple_a3_policy(0.0));
-        let actions =
-            eng.step(0.0, -100.0, &[nb(1, 1825, -95.0), nb(2, 1825, -90.0), nb(3, 1825, -96.0)]);
-        assert!(matches!(actions[0], PolicyAction::Handover { target: CellId(2), .. }));
-    }
-
-    #[test]
-    fn ttt_applies_per_candidate() {
-        let mut eng = PolicyEngine::new(simple_a3_policy(100.0));
-        assert!(eng.step(0.0, -100.0, &[nb(1, 1825, -95.0)]).is_empty());
-        assert!(eng.step(50.0, -100.0, &[nb(1, 1825, -95.0)]).is_empty());
-        let actions = eng.step(100.0, -100.0, &[nb(1, 1825, -95.0)]);
-        assert_eq!(actions.len(), 1);
-    }
-
-    #[test]
-    fn multi_stage_gates_inter_frequency() {
-        let pol = legacy_multi_stage_policy(CellId(0), Earfcn(1825), &[Earfcn(2452)], 3.0, 0.0, 0.0);
-        let mut eng = PolicyEngine::new(pol);
-        assert_eq!(eng.stage(), Stage::IntraOnly);
-        // Strong inter-freq neighbour, but serving still fine: nothing.
-        let a = eng.step(0.0, -100.0, &[nb(9, 2452, -80.0)]);
-        assert!(a.is_empty());
-        // Serving degrades below A2 (-110): stage 2 opens, and with a
-        // zero TTT the A4 rule fires on the inter-freq cell in the same
-        // epoch.
-        let a = eng.step(1.0, -112.0, &[nb(9, 2452, -80.0)]);
-        assert!(a.contains(&PolicyAction::EnterStage2));
-        assert_eq!(eng.stage(), Stage::IntraInter);
-        assert!(a
-            .iter()
-            .any(|x| matches!(x, PolicyAction::Handover { target: CellId(9), .. })));
-    }
-
-    #[test]
-    fn a1_exit_closes_stage2() {
-        let pol = legacy_multi_stage_policy(CellId(0), Earfcn(1825), &[Earfcn(2452)], 3.0, 0.0, 0.0);
-        let mut eng = PolicyEngine::new(pol);
-        eng.step(0.0, -112.0, &[]);
-        assert_eq!(eng.stage(), Stage::IntraInter);
-        // Serving recovers above A1 (-85): stage 2 closes.
-        let a = eng.step(1.0, -80.0, &[]);
-        assert!(a.contains(&PolicyAction::ExitStage2));
-        assert_eq!(eng.stage(), Stage::IntraOnly);
-    }
-
-    #[test]
-    fn anyfreq_scope_admits_everything() {
-        let mut pol = simple_a3_policy(0.0);
-        pol.stage1[0].target = TargetScope::AnyFreq;
-        let mut eng = PolicyEngine::new(pol);
-        let a = eng.step(0.0, -100.0, &[nb(1, 2452, -90.0)]);
-        assert!(matches!(a[0], PolicyAction::Handover { target: CellId(1), .. }));
-    }
-
-    #[test]
-    fn reset_returns_to_stage1() {
-        let pol = legacy_multi_stage_policy(CellId(0), Earfcn(1825), &[Earfcn(2452)], 3.0, 0.0, 0.0);
-        let mut eng = PolicyEngine::new(pol);
-        eng.step(0.0, -112.0, &[]);
-        assert_eq!(eng.stage(), Stage::IntraInter);
-        eng.reset();
-        assert_eq!(eng.stage(), Stage::IntraOnly);
-    }
-
     #[test]
     fn multi_stage_detection() {
         let pol = legacy_multi_stage_policy(CellId(0), Earfcn(1), &[Earfcn(2)], 3.0, 40.0, 640.0);
         assert!(pol.is_multi_stage());
-        assert!(!simple_a3_policy(0.0).is_multi_stage());
+        let single = CellPolicy { a2_gate: None, stage2: vec![], a1_exit: None, ..pol.clone() };
+        assert!(!single.is_multi_stage());
         assert_eq!(pol.all_rules().count(), 2);
     }
 }

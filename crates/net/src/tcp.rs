@@ -206,11 +206,6 @@ impl BloatEpisode {
     pub fn contains(&self, t: f64) -> bool {
         t >= self.start_ms && t < self.end_ms
     }
-
-    /// Worst-case queuing delay of the full queue (ms).
-    pub fn max_queue_delay_ms(&self) -> f64 {
-        self.queue_pkts / self.drain_pkts_per_ms
-    }
 }
 
 /// A delay-jitter episode: packets sent while it is active pick up an

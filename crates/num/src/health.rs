@@ -57,14 +57,6 @@ pub fn check_finite(xs: &[f64]) -> Result<(), NonFinite> {
     }
 }
 
-/// Typed finite-ness check over a complex slice.
-pub fn check_finite_c(xs: &[Complex64]) -> Result<(), NonFinite> {
-    match first_non_finite_c(xs) {
-        Some(index) => Err(NonFinite { index }),
-        None => Ok(()),
-    }
-}
-
 /// Counters of numerical degradations observed during a run. Kept
 /// *beside* campaign aggregates (and out of determinism hashes): a
 /// degraded trial contributes its sanitized value to the aggregate and

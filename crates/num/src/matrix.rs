@@ -139,24 +139,6 @@ impl CMatrix {
         }
     }
 
-    /// Copies row `r` into `out` without allocating.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.cols()` or `r` is out of range.
-    pub fn copy_row_into(&self, r: usize, out: &mut [Complex64]) {
-        assert_eq!(out.len(), self.cols, "row buffer size mismatch");
-        out.copy_from_slice(self.row(r));
-    }
-
-    /// Writes `src` into row `r`.
-    ///
-    /// # Panics
-    /// Panics if `src.len() != self.cols()` or `r` is out of range.
-    pub fn set_row(&mut self, r: usize, src: &[Complex64]) {
-        assert_eq!(src.len(), self.cols, "row buffer size mismatch");
-        self.row_mut(r).copy_from_slice(src);
-    }
-
     /// Conjugate transpose `A^H`.
     pub fn hermitian(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())

@@ -1254,6 +1254,226 @@ mod tests {
         let mr = rem_num::stats::mean(&rem.feedback_delays_ms);
         assert!(mr < ml, "rem={mr} legacy={ml}");
     }
+
+    /// `evaluate_legacy` and the monitor state the replay carries between
+    /// epochs. Three sites 1 km apart each host one cell on carrier 1825
+    /// (cells 0, 2, 4) and one on 2452 (cells 1, 3, 5); cell 0 serves,
+    /// and every A3 offset is +2 dB.
+    struct Legacy {
+        spec: DatasetSpec,
+        deployment: Deployment,
+        a3: [EventMonitor; 6],
+        a4: [EventMonitor; 6],
+        a2: EventMonitor,
+        a1: EventMonitor,
+        stage2: bool,
+        stage2_since_ms: f64,
+    }
+
+    impl Legacy {
+        fn new(intra_ttt_ms: f64, inter_ttt_ms: f64) -> Self {
+            use crate::deployment::{BaseStationId, Cell, Site};
+            let cell = |id: u32| Cell {
+                id: CellId(id),
+                bs: BaseStationId(id / 2),
+                earfcn: rem_mobility::Earfcn(if id.is_multiple_of(2) { 1825 } else { 2452 }),
+                carrier_hz: 1.8e9,
+                bandwidth_mhz: 20.0,
+                tx_power_dbm: 15.0,
+            };
+            let site = |s: u32| Site {
+                id: BaseStationId(s),
+                along_m: 1_000.0 * f64::from(s),
+                lateral_m: 100.0,
+                cells: vec![cell(2 * s), cell(2 * s + 1)],
+            };
+            let sites = (0..3).map(site).collect();
+            Self {
+                spec: DatasetSpec {
+                    proactive_prob: 0.0,
+                    normal_offset_db: 2.0,
+                    intra_ttt_ms,
+                    inter_ttt_ms,
+                    ..quick_spec(300.0)
+                },
+                deployment: Deployment { sites, holes: vec![], route_m: 2e3 },
+                a3: [EventMonitor::default(); 6],
+                a4: [EventMonitor::default(); 6],
+                a2: EventMonitor::default(),
+                a1: EventMonitor::default(),
+                stage2: false,
+                stage2_since_ms: 0.0,
+            }
+        }
+
+        /// Epochs every 20 ms over `ms`: serving cell 0 at `serving_dbm`,
+        /// `neighbours` as `(cell, RSRP)`, each cell in both stages'
+        /// observations. Returns the epochs that chose a target.
+        fn run(
+            &mut self,
+            ms: std::ops::RangeInclusive<u32>,
+            serving_dbm: f64,
+            neighbours: &[(u32, f64)],
+        ) -> Vec<(u32, CellId)> {
+            let mut obs: Vec<CellRadio> = std::iter::once((0, serving_dbm))
+                .chain(neighbours.iter().copied())
+                .map(|(c, rsrp_dbm)| CellRadio { cell: CellId(c), rsrp_dbm, snr_db: 0.0 })
+                .collect();
+            obs.sort_by_key(|c| c.cell);
+            let Legacy { spec, deployment, a3, a4, a2, a1, stage2, stage2_since_ms } = self;
+            ms.step_by(20)
+                .filter_map(|t| {
+                    let found = evaluate_legacy(
+                        spec,
+                        deployment,
+                        CellId(0),
+                        f64::from(t),
+                        &obs,
+                        &obs,
+                        a3,
+                        a4,
+                        a2,
+                        a1,
+                        stage2,
+                        stage2_since_ms,
+                    );
+                    found.map(|(target, _, _)| (t, target))
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a3_handover_to_better_intra_cell() {
+        let mut l = Legacy::new(0.0, 0.0);
+        // Within offset + hysteresis of serving (-97 dBm to enter): no A3.
+        assert_eq!(l.run(0..=40, -100.0, &[(2, -98.0)]), []);
+        // Past it, the zero-TTT A3 hands over on the same epoch.
+        assert_eq!(l.run(60..=60, -100.0, &[(2, -95.0)]), [(60, CellId(2))]);
+        assert!(!l.stage2);
+    }
+
+    #[test]
+    fn inter_freq_neighbor_ignored_by_intra_rule() {
+        // Zero TTTs everywhere: only the A2 gate keeps cell 1 out. With
+        // serving fine it stays closed, and the intra-frequency A3 rule
+        // never admits the 20 dB stronger cell on the other carrier.
+        let mut l = Legacy::new(0.0, 0.0);
+        assert_eq!(l.run(0..=200, -100.0, &[(1, -80.0)]), []);
+        assert!(!l.stage2);
+    }
+
+    #[test]
+    fn multi_stage_gates_inter_frequency() {
+        let mut l = Legacy::new(0.0, 100.0);
+        // Serving fine: the 20 dB stronger inter-frequency cell is not
+        // measured, and the intra-frequency A3 rule ignores it.
+        assert_eq!(l.run(0..=0, -100.0, &[(1, -80.0)]), []);
+        // Serving below A2 (-112 dB, 1 dB hysteresis) from 20 ms: the
+        // gate holds its 100 ms TTT before stage 2 opens on 120 ms.
+        assert_eq!(l.run(20..=100, -115.0, &[(1, -80.0)]), []);
+        assert!(!l.stage2);
+        assert_eq!(l.run(120..=200, -115.0, &[(1, -80.0)]), []);
+        assert!(l.stage2);
+        assert_eq!(l.stage2_since_ms, 120.0);
+        // A4 started its own 100 ms TTT when the gate opened.
+        assert_eq!(l.run(220..=220, -115.0, &[(1, -80.0)]), [(220, CellId(1))]);
+    }
+
+    #[test]
+    fn a1_exit_closes_stage2() {
+        let mut l = Legacy::new(0.0, 100.0);
+        assert_eq!(l.run(0..=100, -115.0, &[(1, -120.0)]), []);
+        assert!(l.stage2);
+        // Serving recovers above A1 (-100 dB) on 120 ms; cell 1 passes
+        // A4 (-110 dB) from 140 ms, so A1 fires first, on 220 ms.
+        assert_eq!(l.run(120..=120, -95.0, &[(1, -120.0)]), []);
+        assert_eq!(l.run(140..=220, -95.0, &[(1, -105.0)]), []);
+        assert!(!l.stage2);
+        // Serving falls again: the gate reopens on 340 ms, and cell 1's
+        // A4 starts over there instead of firing on its 140 ms entry.
+        assert_eq!(l.run(240..=340, -115.0, &[(1, -105.0)]), []);
+        assert!(l.stage2);
+        // Serving recovers at once: A1 starts over on 360 ms too.
+        assert_eq!(l.run(360..=440, -95.0, &[(1, -105.0)]), [(440, CellId(1))]);
+        assert!(l.stage2);
+        assert_eq!(l.run(460..=460, -95.0, &[(1, -105.0)]), []);
+        assert!(!l.stage2);
+    }
+
+    #[test]
+    fn ttt_applies_per_candidate() {
+        let mut l = Legacy::new(100.0, 640.0);
+        // A3 enters above serving + 2 dB offset + 1 dB hysteresis
+        // (-97 dBm) and leaves below -99 dBm.
+        assert_eq!(l.run(0..=20, -100.0, &[(2, -90.0), (4, -99.0)]), []);
+        assert_eq!(l.run(40..=40, -100.0, &[(2, -90.0), (4, -92.0)]), []);
+        // Cell 2 dips on 60 ms and restarts on 80 ms; cell 4 holds.
+        assert_eq!(l.run(60..=60, -100.0, &[(2, -100.0), (4, -92.0)]), []);
+        let fired = l.run(80..=180, -100.0, &[(2, -90.0), (4, -92.0)]);
+        // Cell 4 fires first although cell 2 is stronger.
+        assert_eq!(fired, [(140, CellId(4)), (180, CellId(2))]);
+    }
+
+    #[test]
+    fn best_candidate_wins() {
+        // Stage 1: the strongest intra-frequency candidate; the stronger
+        // inter-frequency cell 3 is invisible.
+        let mut l = Legacy::new(0.0, 0.0);
+        let nbs = [(2, -95.0), (3, -80.0), (4, -90.0)];
+        assert_eq!(l.run(0..=0, -100.0, &nbs), [(0, CellId(4))]);
+        // Stage 2 (zero-TTT gate): A3 and A4 candidates compete.
+        let mut l = Legacy::new(0.0, 0.0);
+        let nbs = [(2, -100.0), (3, -90.0), (4, -95.0), (5, -104.0)];
+        assert_eq!(l.run(0..=0, -115.0, &nbs), [(0, CellId(3))]);
+    }
+
+    #[test]
+    fn reset_returns_to_stage1() {
+        let mut l = Legacy::new(0.0, 100.0);
+        assert_eq!(l.run(0..=100, -115.0, &[]), []);
+        assert!(l.stage2);
+        reset_monitors(&mut l.a3, &mut l.a4, &mut l.a2, &mut l.a1, &mut l.stage2);
+        assert!(!l.stage2);
+        // The gate holds its full TTT again.
+        assert_eq!(l.run(120..=200, -115.0, &[]), []);
+        assert!(!l.stage2);
+        assert_eq!(l.run(220..=220, -115.0, &[]), []);
+        assert!(l.stage2);
+    }
+
+    #[test]
+    fn rem_a3_admits_every_carrier_without_a_gate() {
+        // REM's single-stage A3 runs over every cell: cell 1 shares the
+        // serving site on the other carrier (measured, not estimated).
+        let l = Legacy::new(0.0, 0.0);
+        let radio = |c, snr_db| CellRadio { cell: CellId(c), rsrp_dbm: -100.0, snr_db };
+        let obs = [radio(0, 0.0), radio(1, 10.0)];
+        let (mut a3, mut est_err, mut fallback) = ([EventMonitor::default(); 6], [None; 6], 0);
+        let mut rng = child_rng(1, "est");
+        let fired: Vec<f64> = [0.0, 20.0, 40.0]
+            .into_iter()
+            .filter(|&t| {
+                let found = evaluate_rem(
+                    &l.spec,
+                    &l.deployment,
+                    CellId(0),
+                    t,
+                    &obs,
+                    40.0,
+                    true,
+                    false,
+                    &mut a3,
+                    &mut est_err,
+                    &mut rng,
+                    &mut fallback,
+                );
+                found.is_some()
+            })
+            .collect();
+        // REM's 40 ms TTT, with no A2 gate and no measurement gap.
+        assert_eq!((fired, fallback), (vec![40.0], 0));
+    }
 }
 
 #[cfg(test)]
