@@ -17,19 +17,18 @@ mod args;
 mod obs;
 mod serve;
 
-use args::{ArgError, Args, CommonArgs};
+use args::{configure, ArgError, Args, Cmd, CommonArgs};
 use obs::ObsSession;
 use rem_core::rem_faults::ChaosConfig;
-use rem_core::scenario::{Family, PlaneMix};
 use rem_core::{
-    run_study, Aggregate, BlerStudy, CampaignSpec, Checked, Checkpoint, Comparison, DatasetSpec,
-    ExperimentError, FaultConfig, FaultKind, Plane, RunConfig, RunPolicy, ScenarioSpec, Study,
+    run_study, Aggregate, BlerStudy, Checked, Checkpoint, Comparison, ExperimentError, FaultConfig,
+    FaultKind, Plane, RunPolicy, ScenarioSpec, Study,
 };
 use rem_mobility::conflict::{a3_graph_from_policies, scan_conflicts};
 use rem_mobility::rem_policy::{rem_policies, SimplifyConfig};
 use rem_mobility::CellPolicy;
 use rem_obs::RunManifest;
-use rem_sim::{simulate_run, TrainScenario};
+use rem_sim::simulate_run;
 use std::path::{Path, PathBuf};
 
 /// Everything a command can fail with, mapped to distinct exit codes:
@@ -68,21 +67,26 @@ fn main() {
     let mut argv = std::env::args().skip(1);
     let cmd = argv.next().unwrap_or_else(|| "help".into());
     let rest: Vec<String> = argv.collect();
+    if rest.iter().any(|t| t == "--help" || t == "-h") {
+        print_help();
+        return;
+    }
+    let a = Args::parse(&cmd, rest);
     let result = match cmd.as_str() {
-        "compare" => cmd_compare(rest),
-        "trace" => cmd_trace(rest),
-        "audit" => cmd_audit(rest),
-        "bler" => cmd_bler(rest),
+        "compare" => cmd_compare(a),
+        "trace" => cmd_trace(a),
+        "audit" => cmd_audit(a),
+        "bler" => cmd_bler(a),
         // `storm` is the historical name of `train`; both spellings run
         // the whole-train study.
-        "train" | "storm" => cmd_train(rest),
-        "fleet" => cmd_fleet(rest),
-        "faults" => cmd_faults(rest),
-        "net" => cmd_net(rest),
-        "serve" => serve::cmd_serve(rest),
-        "scenario" => cmd_scenario(rest),
-        "obs" => obs::cmd_obs(rest),
-        "rerun" => obs::cmd_rerun(rest),
+        "train" | "storm" => cmd_train(a),
+        "fleet" => cmd_fleet(a),
+        "faults" => cmd_faults(a),
+        "net" => cmd_net(a),
+        "serve" => serve::cmd_serve(a),
+        "scenario" => cmd_scenario(a),
+        "obs" => obs::cmd_obs(a),
+        "rerun" => obs::cmd_rerun(a),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
@@ -115,64 +119,14 @@ fn main() {
     }
 }
 
-/// Loads `--scenario <file>` when present and folds every explicit
-/// command-line flag on top: flags win over the file, absent flags keep
-/// the file's values. The result is re-validated, so an override that
-/// breaks an invariant fails exactly like a bad file would.
-fn scenario_from(a: &Args, common: &CommonArgs) -> Result<Option<ScenarioSpec>, CliError> {
-    let Some(path) = &common.scenario else { return Ok(None) };
-    let mut spec = ScenarioSpec::load(Path::new(path)).map_err(ExperimentError::from)?;
-    if let Some(code) = a.get("dataset") {
-        spec.cells.family = family(code)?;
-    }
-    if let Some(v) = a.num_opt("speed")? {
-        spec.trajectory.speed_kmh = v;
-    }
-    if let Some(v) = a.num_opt("route-km")? {
-        spec.trajectory.route_km = v;
-    }
-    if let Some(p) = a.get("plane") {
-        spec.policy.plane = match p {
-            "legacy" => PlaneMix::Legacy,
-            "rem" => PlaneMix::Rem,
-            "both" => PlaneMix::Both,
-            other => {
-                return Err(ArgError(format!("unknown plane '{other}' (legacy|rem|both)")).into())
-            }
-        };
-    }
-    if let Some(m) = a.get("model") {
-        spec.link.model = link_model(m)?;
-    }
-    if let Some(v) = a.num_opt("snr")? {
-        spec.link.snr_db = v;
-    }
-    if let Some(n) = a.int_opt("blocks")? {
-        spec.link.blocks = n as usize;
-    }
-    if let Some(s) = a.int_opt("seed")? {
-        spec.link.seed = s;
-        spec.train.seed = s;
-    }
-    if let Some(x) = a.num_opt("rate-scale")? {
-        spec.faults.get_or_insert_with(Default::default).rate_scale = Some(x);
-    }
-    if let Some(n) = a.int_opt("clients")? {
-        spec.train.clients = n as usize;
-    }
-    common.overlay_run(&mut spec.run);
-    spec.validate().map_err(ExperimentError::from)?;
-    Ok(Some(spec))
-}
-
-/// The plumbing every campaign command shares, built once from the
-/// common flags and the optional `--scenario` file: execution policy,
-/// chaos, observability session and checkpoint path. A study command
-/// runs `study → run → finish`; `rem fleet`, which has no independent
+/// The plumbing every study command shares, built once from its
+/// validated spec and the common flags: execution policy, chaos,
+/// observability session and checkpoint path. A study command runs
+/// `study → run → finish`; `rem fleet`, which has no independent
 /// trials, uses only the digest-and-manifest [`tail`](Driver::tail).
 struct Driver {
     common: CommonArgs,
-    scn: Option<ScenarioSpec>,
+    scn: ScenarioSpec,
     policy: RunPolicy,
     chaos: Option<ChaosConfig>,
     session: ObsSession,
@@ -180,28 +134,26 @@ struct Driver {
 }
 
 impl Driver {
-    fn begin(a: &Args) -> Result<Self, CliError> {
-        let common = CommonArgs::parse(a)?;
-        let scn = scenario_from(a, &common)?;
-        let (policy, chaos) = match &scn {
-            Some(s) => (s.run_policy(), s.chaos()),
-            None => (common.run_policy(), common.chaos()),
-        };
+    /// Configures `cmd` from its flags (see [`configure`]); a command
+    /// reads any flag of its own that is not a spec field before this.
+    fn begin(cmd: Cmd, a: Args) -> Result<Self, CliError> {
+        let (common, scn) = configure(cmd, a)?;
         Ok(Self {
             session: ObsSession::begin(&common),
             ckpt: common.ckpt_path(),
+            policy: scn.run_policy(),
+            chaos: scn.chaos(),
             common,
             scn,
-            policy,
-            chaos,
         })
     }
 
-    /// The study to run. With `--resume` it is rebuilt from the
-    /// checkpoint's own fingerprint, for every kind: flags describing
-    /// the study are ignored, only the execution flags apply.
-    fn study<S: Study>(&self, build: impl FnOnce() -> Result<S, CliError>) -> Result<S, CliError> {
-        let Some(path) = &self.common.resume else { return build() };
+    /// The study `lower` builds from the spec. With `--resume` it is
+    /// rebuilt from the checkpoint's own fingerprint, for every kind:
+    /// flags describing the study are ignored, only the execution flags
+    /// apply.
+    fn study<S: Study>(&self, lower: impl FnOnce(&ScenarioSpec) -> S) -> Result<S, CliError> {
+        let Some(path) = &self.common.resume else { return Ok(lower(&self.scn)) };
         Ok(rem_core::study::from_checkpoint(Path::new(path), self.policy.threads)?)
     }
 
@@ -315,7 +267,7 @@ impl Driver {
             );
         }
         m.result_hash = digest.filter(|_| clean);
-        m.scenario = self.scn.as_ref().map(ScenarioSpec::fingerprint);
+        m.scenario = Some(self.scn.fingerprint());
         amend(&mut m);
         self.session.finish(&m, self.ckpt.as_deref())
     }
@@ -346,8 +298,10 @@ fn print_help() {
         "rem — Reliable Extreme Mobility management (SIGCOMM'20 reproduction)
 
 USAGE: rem <command> [--flag value ...]
+       rem <command> --help    (prints this text)
 
-Campaign commands (compare, bler, faults, train, net) accept
+A command takes the flags listed for it below and rejects any other
+(exit 2). Campaign commands (compare, bler, faults, train, net) accept
   --scenario <file>    load a declarative REMSCENARIO1 TOML scenario
                        (see scenarios/) as the base configuration; any
                        other flag on the command line overrides the
@@ -391,6 +345,7 @@ COMMANDS:
               --plane legacy|rem   (default legacy)
               --seed <n>           (default 42)
               --out <file>         (default trace.jsonl)
+              --scenario <file>    base config (flags override it)
   audit     Audit a JSON file of cell policies for conflicts, apply
             REM's simplification, verify Theorem 2
               <file>               JSON array of CellPolicy
@@ -425,6 +380,7 @@ COMMANDS:
               --seed <n>           (default 7)
               --shards <n>         geographic shards (default 4)
               --scenario <file>    base config from the [fleet] section
+              --threads/--hash/--obs-trace as for the campaign commands
   faults    Fault-injection campaign: seeded faults (Table 2 taxonomy),
             recovery statistics, and the classification oracle.
             Exits non-zero if any classified cause contradicts the
@@ -495,42 +451,9 @@ in canonical order: any thread count gives identical results."
     );
 }
 
-fn family(code: &str) -> Result<Family, ArgError> {
-    Family::from_code(code)
-        .ok_or_else(|| ArgError(format!("unknown dataset '{code}' (bt|bs|la|nr)")))
-}
-
-fn dataset(a: &Args) -> Result<DatasetSpec, ArgError> {
-    let route = a.num_or("route-km", 40.0)?;
-    Ok(family(a.get_or("dataset", "bs"))?.dataset(route, a.num_or("speed", 300.0)?))
-}
-
-fn plane(a: &Args) -> Result<Plane, ArgError> {
-    match a.get_or("plane", "legacy") {
-        "legacy" => Ok(Plane::Legacy),
-        "rem" => Ok(Plane::Rem),
-        other => Err(ArgError(format!("unknown plane '{other}' (legacy|rem)"))),
-    }
-}
-
-fn link_model(code: &str) -> Result<rem_channel::models::ChannelModel, ArgError> {
-    use rem_channel::models::ChannelModel;
-    match code {
-        "hst" => Ok(ChannelModel::Hst),
-        "eva" => Ok(ChannelModel::Eva),
-        "etu" => Ok(ChannelModel::Etu),
-        "epa" => Ok(ChannelModel::Epa),
-        other => Err(ArgError(format!("unknown model '{other}' (hst|eva|etu|epa)"))),
-    }
-}
-
-fn cmd_compare(rest: Vec<String>) -> Result<(), CliError> {
-    let a = Args::parse(rest)?;
-    let d = Driver::begin(&a)?;
-    let campaign = d.study(|| match &d.scn {
-        Some(s) => Ok(s.campaign()),
-        None => Ok(CampaignSpec::new(dataset(&a)?).with_seed_count(d.common.seeds.unwrap_or(2))),
-    })?;
+fn cmd_compare(a: Args) -> Result<(), CliError> {
+    let d = Driver::begin(Cmd::Compare, a)?;
+    let campaign = d.study(ScenarioSpec::campaign)?;
     println!(
         "{} @ {} km/h, {:.0} km x {} seeds",
         campaign.spec.name,
@@ -575,12 +498,12 @@ fn cmd_compare(rest: Vec<String>) -> Result<(), CliError> {
     d.finish(&campaign, &checked, |_| {})
 }
 
-fn cmd_trace(rest: Vec<String>) -> Result<(), CliError> {
-    let a = Args::parse(rest)?;
-    let spec = dataset(&a)?;
-    let mut cfg = RunConfig::new(spec, plane(&a)?, a.int_or("seed", 42)?);
+fn cmd_trace(mut a: Args) -> Result<(), CliError> {
+    let seed = a.int("seed")?.unwrap_or(42);
+    let out = a.str("out")?.unwrap_or_else(|| "trace.jsonl".into());
+    let (_, s) = configure(Cmd::Trace, a)?;
+    let mut cfg = s.run_config(s.single_plane().unwrap_or(Plane::Legacy), seed);
     cfg.record_trace = true;
-    let out = a.get_or("out", "trace.jsonl").to_string();
     let m = simulate_run(&cfg);
     std::fs::write(&out, m.trace.to_jsonl())
         .map_err(|e| ArgError(format!("cannot write {out}: {e}")))?;
@@ -594,12 +517,12 @@ fn cmd_trace(rest: Vec<String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_audit(rest: Vec<String>) -> Result<(), CliError> {
-    let a = Args::parse(rest)?;
-    let file = a
-        .positional()
-        .first()
-        .ok_or_else(|| ArgError("audit needs a policy JSON file".into()))?;
+fn cmd_audit(mut a: Args) -> Result<(), CliError> {
+    let positionals = a.positionals();
+    a.finish()?;
+    let [file] = positionals.as_slice() else {
+        return Err(ArgError("usage: rem audit <policies.json> (see `rem help`)".into()).into());
+    };
     let body = std::fs::read_to_string(file)
         .map_err(|e| ArgError(format!("cannot read {file}: {e}")))?;
     let policies: Vec<CellPolicy> = serde_json::from_str(&body)
@@ -634,28 +557,15 @@ fn cmd_audit(rest: Vec<String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bler(rest: Vec<String>) -> Result<(), CliError> {
-    use rem_phy::link::{BlerScenario, LinkConfig, Waveform};
+fn cmd_bler(a: Args) -> Result<(), CliError> {
+    use rem_phy::link::Waveform;
 
-    let a = Args::parse(rest)?;
-    let d = Driver::begin(&a)?;
+    let d = Driver::begin(Cmd::Bler, a)?;
     // Same seed for both waveforms: trial i sees the identical channel
     // and payload under each, so the comparison is paired.
-    let study = d.study(|| match &d.scn {
-        Some(s) => Ok(BlerStudy {
-            ofdm: s.bler_scenario(Waveform::Ofdm),
-            otfs: s.bler_scenario(Waveform::Otfs),
-        }),
-        None => {
-            let ofdm =
-                BlerScenario::signaling(Waveform::Ofdm, link_model(a.get_or("model", "hst"))?)
-                    .with_speed_kmh(a.num_or("speed", 350.0)?)
-                    .with_snr_db(a.num_or("snr", 6.0)?)
-                    .with_blocks(a.int_or("blocks", 200)? as usize)
-                    .with_seed(a.int_or("seed", 1)?);
-            let otfs = BlerScenario { cfg: LinkConfig::signaling(Waveform::Otfs), ..ofdm };
-            Ok(BlerStudy { ofdm, otfs })
-        }
+    let study = d.study(|s| BlerStudy {
+        ofdm: s.bler_scenario(Waveform::Ofdm),
+        otfs: s.bler_scenario(Waveform::Otfs),
     })?;
     let checked = d.run(&study)?;
     let (ofdm, otfs) = &checked.value;
@@ -675,32 +585,17 @@ fn cmd_bler(rest: Vec<String>) -> Result<(), CliError> {
     d.finish(&study, &checked, |_| {})
 }
 
-fn cmd_faults(rest: Vec<String>) -> Result<(), CliError> {
+fn cmd_faults(mut a: Args) -> Result<(), CliError> {
     use rem_mobility::FailureCause;
 
-    let a = Args::parse(rest)?;
-    let d = Driver::begin(&a)?;
-    let study = d.study(|| {
-        // A fault campaign always injects: a scenario without a
-        // `[faults]` section runs the stock schedule, exactly like the
-        // flag path.
-        let (spec, plane, seeds, faults) = match &d.scn {
-            Some(s) => (
-                s.dataset(),
-                s.single_plane().unwrap_or(Plane::Legacy),
-                s.run.seeds.clone(),
-                s.fault_config().unwrap_or_default(),
-            ),
-            None => (
-                dataset(&a)?,
-                plane(&a)?,
-                (1..=d.common.seeds.unwrap_or(3) as u64).collect(),
-                FaultConfig::default().scaled(a.num_or("rate-scale", 1.0)?),
-            ),
-        };
-        faults.validate().map_err(ArgError)?;
-        let campaign = CampaignSpec::new(spec).with_seeds(&seeds).with_faults(faults);
-        Ok(Aggregate { campaign, plane })
+    let verify_threads = a.int("verify")?.unwrap_or(0);
+    let d = Driver::begin(Cmd::Faults, a)?;
+    let study = d.study(|s| {
+        // A fault campaign always injects: a spec without a `[faults]`
+        // section runs the stock schedule.
+        let mut campaign = s.campaign();
+        campaign.faults.get_or_insert_with(FaultConfig::default);
+        Aggregate { campaign, plane: s.single_plane().unwrap_or(Plane::Legacy) }
     })?;
     let c = &study.campaign;
     println!(
@@ -748,7 +643,7 @@ fn cmd_faults(rest: Vec<String>) -> Result<(), CliError> {
             p.classified
         );
     }
-    verify(&study, a.int_or("verify", 0)? as usize)?;
+    verify(&study, verify_threads)?;
     d.finish(&study, &checked, |_| {})?;
     if !mismatches.is_empty() {
         eprintln!("error: fault oracle found misclassified failures");
@@ -765,52 +660,24 @@ fn cmd_faults(rest: Vec<String>) -> Result<(), CliError> {
 /// truth. Runs under the same crash-safety machinery as the other
 /// campaigns, so `--checkpoint`/`--resume`/`--hash`/chaos behave
 /// exactly like `rem compare`.
-fn cmd_net(rest: Vec<String>) -> Result<(), CliError> {
-    use rem_core::rem_faults::{NetFaultConfig, NetFaultKind};
-    use rem_core::{NetPolicy, NetStudySpec};
+fn cmd_net(mut a: Args) -> Result<(), CliError> {
+    use rem_core::rem_faults::NetFaultKind;
+    use rem_core::NetPolicy;
 
-    let a = Args::parse(rest)?;
-    match a.positional().first().map(String::as_str) {
-        Some("study") => {}
-        _ => {
-            return Err(ArgError(
-                "usage: rem net study [--scenario <file>] [--aggressive] [--seeds <n>] \
-                 [--window-ms <ms>] [--loss <p>] [--json <file>] [--verify <n>] \
-                 (see `rem help`)"
-                    .to_string(),
-            )
-            .into())
-        }
+    if a.positionals() != ["study"] {
+        return Err(ArgError(
+            "usage: rem net study [--scenario <file>] [--aggressive] [--seeds <n>] \
+             [--window-ms <ms>] [--loss <p>] [--json <file>] [--verify <n>] \
+             (see `rem help`)"
+                .to_string(),
+        )
+        .into());
     }
-    let d = Driver::begin(&a)?;
-    let spec = d.study(|| {
-        // Spec precedence: stock defaults, `--aggressive`, the
-        // scenario's `[net]` section, then explicit flags.
-        let mut spec = NetStudySpec::default();
-        if a.flag("aggressive") {
-            spec.faults = NetFaultConfig::aggressive();
-        }
-        match &d.scn {
-            Some(s) => match s.net_study_spec() {
-                Some(ns) => spec = ns,
-                // A scenario without `[net]` still provides its seeds.
-                None => spec.seeds = s.run.seeds.clone(),
-            },
-            None => {
-                if let Some(n) = d.common.seeds {
-                    spec.seeds = (1..=n as u64).collect();
-                }
-            }
-        }
-        if let Some(v) = a.num_opt("window-ms")? {
-            spec.window_ms = v;
-        }
-        if let Some(v) = a.num_opt("loss")? {
-            spec.loss_prob = v;
-        }
-        spec.validate().map_err(ArgError)?;
-        Ok(spec)
-    })?;
+    let json = a.str("json")?;
+    let verify_threads = a.int("verify")?.unwrap_or(0);
+    let d = Driver::begin(Cmd::Net, a)?;
+    // The net flags always fill the spec's `[net]` section.
+    let spec = d.study(|s| s.net_study_spec().unwrap_or_default())?;
 
     println!(
         "net stall study: {} policies x {} pathologies x {} seeds, {:.0} s window",
@@ -878,9 +745,9 @@ fn cmd_net(rest: Vec<String>) -> Result<(), CliError> {
         NetFaultKind::all().len(),
         wins.iter().map(|k| k.label()).collect::<Vec<_>>().join(", "),
     );
-    verify(&spec, a.int_or("verify", 0)? as usize)?;
-    if let Some(path) = a.get("json") {
-        std::fs::write(path, report.to_json_pretty(&spec))
+    verify(&spec, verify_threads)?;
+    if let Some(path) = json {
+        std::fs::write(&path, report.to_json_pretty(&spec))
             .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
         println!("wrote {path}");
     }
@@ -904,21 +771,14 @@ fn cmd_net(rest: Vec<String>) -> Result<(), CliError> {
 }
 
 /// `rem train` (historically `rem storm`) — the whole-train
-/// signaling-burst study over [`TrainScenario`], under the same
-/// crash-safety machinery as the other campaigns: each client is an
-/// independent checkpointable trial, so `--checkpoint`/`--resume`,
-/// `--hash`, chaos injection and graceful SIGINT/SIGTERM shutdown all
-/// behave exactly like `rem compare`.
-fn cmd_train(rest: Vec<String>) -> Result<(), CliError> {
-    let a = Args::parse(rest)?;
-    let d = Driver::begin(&a)?;
-    let train = d.study(|| match &d.scn {
-        Some(s) => Ok(s.train_scenario()),
-        None => {
-            let cfg = RunConfig::new(dataset(&a)?, plane(&a)?, a.int_or("seed", 7)?);
-            Ok(TrainScenario::new(cfg).with_clients(a.int_or("clients", 8)? as usize))
-        }
-    })?;
+/// signaling-burst study over [`TrainScenario`](rem_sim::TrainScenario),
+/// under the same crash-safety machinery as the other campaigns: each
+/// client is an independent checkpointable trial, so
+/// `--checkpoint`/`--resume`, `--hash`, chaos injection and graceful
+/// SIGINT/SIGTERM shutdown all behave exactly like `rem compare`.
+fn cmd_train(a: Args) -> Result<(), CliError> {
+    let d = Driver::begin(Cmd::Train, a)?;
+    let train = d.study(ScenarioSpec::train_scenario)?;
     let checked = d.run(&train)?;
     let t = &checked.value;
     println!(
@@ -926,9 +786,7 @@ fn cmd_train(rest: Vec<String>) -> Result<(), CliError> {
         t.n_clients, t.total_messages, t.mean_rate_per_s, t.peak_rate_per_s, t.window_ms
     );
     println!("handovers {} / failures {}", t.handovers, t.failures);
-    if let Some(s) = &d.scn {
-        println!("scenario: {}", s.fingerprint());
-    }
+    println!("scenario: {}", d.scn.fingerprint());
     d.finish(&train, &checked, |_| {})
 }
 
@@ -937,54 +795,16 @@ fn cmd_train(rest: Vec<String>) -> Result<(), CliError> {
 /// corridor, bit-identical for every `--shards`/`--threads` choice.
 /// Base configuration comes from the `[fleet]` scenario section when
 /// `--scenario` is given; explicit flags win over the file.
-fn cmd_fleet(rest: Vec<String>) -> Result<(), CliError> {
+fn cmd_fleet(a: Args) -> Result<(), CliError> {
     use rem_core::rem_fleet::{run_fleet, RunOptions};
 
-    let a = Args::parse(rest)?;
     // Chaos injection rides the trial runner, which the fleet engine
-    // does not use, and there is no checkpoint: record neither.
-    let d = Driver { chaos: None, ckpt: None, ..Driver::begin(&a)? };
-
-    let mut spec = d.scn.as_ref().and_then(ScenarioSpec::fleet_spec).unwrap_or_default();
-    if let Some(v) = a.int_opt("trains")? {
-        spec.trains = v as u32;
-    }
-    if let Some(v) = a.int_opt("ues")? {
-        spec.ues_per_train = v as u32;
-    }
-    if let Some(v) = a.num_opt("corridor-km")? {
-        spec.corridor_km = v;
-    }
-    if let Some(v) = a.num_opt("cell-spacing-m")? {
-        spec.cell_spacing_m = v;
-    }
-    if let Some(v) = a.num_opt("speed")? {
-        spec.speed_kmh = v;
-    }
-    if let Some(v) = a.num_opt("jitter")? {
-        spec.speed_jitter = v;
-    }
-    if let Some(v) = a.num_opt("headway")? {
-        spec.headway_s = v;
-    }
-    if let Some(v) = a.num_opt("duration")? {
-        spec.duration_s = v;
-    }
-    if let Some(v) = a.num_opt("epoch-ms")? {
-        spec.epoch_ms = v;
-    }
-    if let Some(v) = a.int_opt("seed")? {
-        spec.seed = v;
-    }
-    if let Some(v) = a.int_opt("shards")? {
-        spec.shards = v as u32;
-    }
-    // A bad overlay is a bad invocation: same usage exit as a bad file.
-    spec.validate().map_err(ArgError)?;
-
+    // does not use: record none.
+    let d = Driver { chaos: None, ..Driver::begin(Cmd::Fleet, a)? };
+    let spec = d.scn.fleet_spec().unwrap_or_default();
     let threads = d.policy.threads;
     let opts = RunOptions { shards: spec.shards, threads };
-    // Unreachable after the validate() above, but map it the same way.
+    // Unreachable: the spec's validate() checked the fleet section.
     let (report, timing) = run_fleet(&spec, opts).map_err(ArgError)?;
 
     println!(
@@ -1006,9 +826,7 @@ fn cmd_fleet(rest: Vec<String>) -> Result<(), CliError> {
         spec.shards,
         threads
     );
-    if let Some(s) = &d.scn {
-        println!("scenario: {}", s.fingerprint());
-    }
+    println!("scenario: {}", d.scn.fingerprint());
     let timing = serde_json::to_value(&timing)
         .map_err(|e| ArgError(format!("serialize fleet timing: {e}")))?;
     let digest = Some(report.result_hash());
@@ -1046,14 +864,15 @@ fn scenario_files(paths: &[String]) -> Result<Vec<PathBuf>, CliError> {
 /// the `scenarios/` directory. `validate` loads and fully validates
 /// each file; `smoke` additionally replays a 1-seed paired comparison
 /// so every shipped scenario is known to run end-to-end.
-fn cmd_scenario(rest: Vec<String>) -> Result<(), CliError> {
-    let a = Args::parse(rest)?;
+fn cmd_scenario(mut a: Args) -> Result<(), CliError> {
     let usage = || {
         CliError::Arg(ArgError(
             "usage: rem scenario validate|smoke <file-or-dir>... (see `rem help`)".to_string(),
         ))
     };
-    let (verb, rest) = a.positional().split_first().ok_or_else(usage)?;
+    let positionals = a.positionals();
+    a.finish()?;
+    let (verb, rest) = positionals.split_first().ok_or_else(usage)?;
     let smoke = match verb.as_str() {
         "validate" => false,
         "smoke" => true,

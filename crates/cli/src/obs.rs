@@ -97,17 +97,11 @@ impl ObsSession {
 /// `rem obs <subcommand>` — offline tooling over observability
 /// artifacts. `summarize <trace.jsonl>` prints order-independent
 /// per-kind event counts.
-pub fn cmd_obs(rest: Vec<String>) -> Result<(), CliError> {
-    let a = Args::parse(rest)?;
-    let usage = || {
-        CliError::Arg(ArgError(
-            "usage: rem obs summarize <trace.jsonl> (see `rem help`)".to_string(),
-        ))
-    };
-    let mut pos = a.positional().iter();
-    match pos.next().map(String::as_str) {
-        Some("summarize") => {
-            let file = pos.next().ok_or_else(usage)?;
+pub fn cmd_obs(mut a: Args) -> Result<(), CliError> {
+    let positionals = a.positionals();
+    a.finish()?;
+    match positionals.as_slice() {
+        [verb, file] if verb == "summarize" => {
             let body = std::fs::read_to_string(file)
                 .map_err(|e| ArgError(format!("cannot read {file}: {e}")))?;
             let events = rem_obs::trace::parse_jsonl(&body).map_err(ArgError)?;
@@ -125,7 +119,7 @@ pub fn cmd_obs(rest: Vec<String>) -> Result<(), CliError> {
             }
             Ok(())
         }
-        _ => Err(usage()),
+        _ => Err(ArgError("usage: rem obs summarize <trace.jsonl> (see `rem help`)".into()).into()),
     }
 }
 
@@ -141,18 +135,18 @@ fn replay<S: Study>(manifest: &RunManifest, policy: &RunPolicy) -> Result<String
 /// manifest describes, from the manifest alone, and verifies the
 /// recomputed result digest against the recorded one. Exit 1 on
 /// mismatch: the artifact no longer reproduces.
-pub fn cmd_rerun(rest: Vec<String>) -> Result<(), CliError> {
+pub fn cmd_rerun(mut a: Args) -> Result<(), CliError> {
     use rem_core::{Aggregate, BlerStudy, CampaignSpec, NetStudySpec};
     use rem_sim::TrainScenario;
 
-    let a = Args::parse(rest)?;
-    let file = a
-        .positional()
-        .first()
-        .ok_or_else(|| ArgError("rerun needs a manifest file (see `rem help`)".to_string()))?;
+    let policy = RunPolicy { threads: a.int("threads")?.unwrap_or(0), ..RunPolicy::default() };
+    let positionals = a.positionals();
+    a.finish()?;
+    let [file] = positionals.as_slice() else {
+        let usage = "usage: rem rerun <file.manifest.json> (see `rem help`)";
+        return Err(ArgError(usage.into()).into());
+    };
     let manifest = RunManifest::load(Path::new(file)).map_err(ArgError)?;
-    let policy =
-        RunPolicy { threads: a.int_or("threads", 0)? as usize, ..RunPolicy::default() };
     println!(
         "rerunning {} campaign ({} trials) from {file}",
         manifest.kind, manifest.n_trials

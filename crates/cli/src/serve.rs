@@ -12,19 +12,19 @@ use rem_serve::{signal, ServeConfig, Server};
 use std::path::PathBuf;
 
 /// Parses `rem serve` flags and runs the service to completion.
-pub fn cmd_serve(rest: Vec<String>) -> Result<(), CliError> {
-    let a = Args::parse(rest)?;
+pub fn cmd_serve(mut a: Args) -> Result<(), CliError> {
     let d = ServeConfig::default();
     let cfg = ServeConfig {
-        listen: a.get_or("listen", &d.listen).to_string(),
-        spool: PathBuf::from(a.get_or("spool", ".rem-spool")),
-        workers: a.int_or("workers", d.workers as u64)? as usize,
-        queue_capacity: a.int_or("queue-cap", d.queue_capacity as u64)? as usize,
-        job_retries: a.int_or("job-retries", d.job_retries as u64)? as u32,
-        job_threads: a.int_or("job-threads", d.job_threads as u64)? as usize,
-        checkpoint_every: a.int_or("checkpoint-every", d.checkpoint_every as u64)? as usize,
-        job_timeout_s: a.int_or("job-timeout-s", d.job_timeout_s)?,
+        listen: a.str("listen")?.unwrap_or(d.listen),
+        spool: PathBuf::from(a.str("spool")?.unwrap_or_else(|| ".rem-spool".into())),
+        workers: a.int("workers")?.unwrap_or(d.workers),
+        queue_capacity: a.int("queue-cap")?.unwrap_or(d.queue_capacity),
+        job_retries: a.int("job-retries")?.unwrap_or(d.job_retries),
+        job_threads: a.int("job-threads")?.unwrap_or(d.job_threads),
+        checkpoint_every: a.int("checkpoint-every")?.unwrap_or(d.checkpoint_every),
+        job_timeout_s: a.int("job-timeout-s")?.unwrap_or(d.job_timeout_s),
     };
+    a.finish()?;
     if cfg.queue_capacity == 0 {
         return Err(ArgError("--queue-cap must be at least 1".into()).into());
     }

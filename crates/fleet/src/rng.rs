@@ -12,6 +12,8 @@
 //! (Salmon et al., SC'11) reduced to a SplitMix64 finalizer chain.
 //! Same inputs, same bits, no matter who asks first.
 
+use rem_num::rng::splitmix64;
+
 /// Domain-separation tags so different purposes at the same
 /// `(seed, entity, epoch)` never correlate.
 #[derive(Clone, Copy, Debug)]
@@ -27,19 +29,10 @@ pub enum Stream {
     UeOutcome = 4,
 }
 
-/// SplitMix64 finalizer: a well-mixed 64-bit permutation.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The raw 64-bit draw for `(seed, entity, epoch, stream)`.
 #[inline]
 pub fn draw(seed: u64, entity: u64, epoch: u64, stream: Stream) -> u64 {
-    mix(seed ^ mix(entity ^ mix(epoch ^ mix(stream as u64))))
+    splitmix64(seed ^ splitmix64(entity ^ splitmix64(epoch ^ splitmix64(stream as u64))))
 }
 
 /// A uniform draw in `[0, 1)` with 53 random bits.

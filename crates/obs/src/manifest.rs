@@ -75,10 +75,12 @@ pub struct RunManifest {
     /// the run computes one. `rem rerun` recomputes and compares.
     #[serde(default)]
     pub result_hash: Option<String>,
-    /// Scenario fingerprint (`"<name>:fnv1a64:<16 hex>"`) when the run
-    /// was launched from a `--scenario` file. Provenance only: the
-    /// campaign identity stays in `spec_json`, which is why `rem rerun`
-    /// replays scenario runs without the scenario file present.
+    /// Fingerprint (`"<name>:fnv1a64:<16 hex>"`) of the scenario spec a
+    /// `rem` study command ran: its `--scenario` file, or else the
+    /// command's base spec, with the command's flags laid over it.
+    /// Provenance only: the campaign identity stays in `spec_json`,
+    /// which is why `rem rerun` replays scenario runs without the
+    /// scenario file present.
     #[serde(default)]
     pub scenario: Option<String>,
     /// Net stall-study summary (study dimensions, stall gap, oracle
