@@ -113,9 +113,6 @@ pub fn cmd_obs(mut a: Args) -> Result<(), CliError> {
                 if !m.simd_dispatch.is_empty() {
                     println!("simd dispatch: {} (cpu: {})", m.simd_dispatch, m.cpu_features);
                 }
-                if !m.plan_cache.is_empty() {
-                    println!("plan cache: {}", m.plan_cache);
-                }
             }
             Ok(())
         }

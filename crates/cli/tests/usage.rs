@@ -55,6 +55,12 @@ fn out_of_range_flags_name_the_spec_field() {
         (&["train", "--clients", "0"], "train.clients"),
         (&["bler", "--blocks", "0"], "link.blocks"),
         (&["compare", "--chaos-panic", "1.5"], "run.chaos_panic_rate"),
+        // The field the flag sets, with the value it gave.
+        (&["fleet", "--trains", "0"], "'fleet.trains' is out of range: must be >= 1 (got 0)"),
+        (
+            &["faults", "--rate-scale", "-1"],
+            "'faults.rate_scale' is out of range: must be finite and >= 0 (got -1)",
+        ),
     ] {
         assert_usage_error(args, field, &dir);
     }

@@ -125,20 +125,6 @@ impl CampaignSpec {
         serde_json::to_string(&(&self.spec, &self.seeds, &self.faults))
             .map_err(|e| ExperimentError::serde("campaign fingerprint", e))
     }
-
-    /// Resumes the paired comparison whose checkpoint lives at `path`:
-    /// rebuilds the campaign from the checkpoint's own fingerprint,
-    /// runs only the missing trials and returns the completed result
-    /// (bit-identical to an uninterrupted run). The worker count comes
-    /// from `policy`, not from the original run.
-    pub fn resume(
-        path: &Path,
-        policy: &RunPolicy,
-    ) -> Result<(CampaignSpec, CheckedComparison), ExperimentError> {
-        let campaign: CampaignSpec = crate::study::from_checkpoint(path, policy.threads)?;
-        let checked = run_study(&campaign, policy, Some(path), |_, _| {})?;
-        Ok((campaign, checked.into()))
-    }
 }
 
 /// The paired comparison: trials `0..n` replay the legacy plane over
@@ -449,26 +435,14 @@ impl Comparison {
     ///
     /// A clean (no-quarantine) run merges exactly the values
     /// [`Comparison::run`] would have produced — same JSON, same hash.
+    /// Resuming, and a per-attempt chaos hook, go through
+    /// [`run_study`] and [`crate::study::from_checkpoint`] directly.
     pub fn run_checkpointed(
         campaign: &CampaignSpec,
         policy: &RunPolicy,
         path: Option<&Path>,
     ) -> Result<CheckedComparison, ExperimentError> {
-        Self::run_checkpointed_with(campaign, policy, path, |_, _| {})
-    }
-
-    /// [`Comparison::run_checkpointed`] with a per-attempt hook called
-    /// at the top of every trial — the seam chaos testing uses to
-    /// inject deterministic panics (e.g.
-    /// `rem_faults::ChaosConfig::maybe_panic`). The hook must not
-    /// affect the trial's *value*, only whether it panics.
-    pub fn run_checkpointed_with(
-        campaign: &CampaignSpec,
-        policy: &RunPolicy,
-        path: Option<&Path>,
-        hook: impl Fn(usize, u32) + Sync,
-    ) -> Result<CheckedComparison, ExperimentError> {
-        run_study(campaign, policy, path, hook).map(CheckedComparison::from)
+        run_study(campaign, policy, path, |_, _| {}).map(CheckedComparison::from)
     }
 
     /// The paper's reduction factor `ε = (K_lgc − K_rem) / K_rem` for a
@@ -697,7 +671,8 @@ mod tests {
         ckpt.unrecord(1);
         ckpt.unrecord(3);
         ckpt.save(&path)?;
-        let (rebuilt, resumed) = CampaignSpec::resume(&path, &policy)?;
+        let rebuilt: CampaignSpec = crate::study::from_checkpoint(&path, policy.threads)?;
+        let resumed = run_study(&rebuilt, &policy, Some(&path), |_, _| {})?;
         assert_eq!(rebuilt.seeds, campaign.seeds);
         assert_eq!(resumed.resumed_trials, 2);
         assert_eq!(
@@ -716,7 +691,7 @@ mod tests {
             CampaignSpec::new(DatasetSpec::beijing_taiyuan(10.0, 250.0)).with_seeds(&[11]);
         let clean = Comparison::run(&campaign.clone().with_threads(1));
         let chaos = rem_faults::ChaosConfig::transient(5, 1.0);
-        let checked = Comparison::run_checkpointed_with(
+        let checked = run_study(
             &campaign,
             &RunPolicy { threads: 2, max_retries: 2, ..Default::default() },
             None,

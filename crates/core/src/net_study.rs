@@ -110,7 +110,9 @@ impl Default for NetStudySpec {
 impl NetStudySpec {
     /// Validates rates, seeds and shapes.
     pub fn validate(&self) -> Result<(), String> {
-        self.faults.validate()?;
+        if let Some((field, value, reason)) = self.faults.invalid_field() {
+            return Err(format!("{field} {reason}, got {value}"));
+        }
         if self.seeds.is_empty() {
             return Err("seeds must list at least one seed".into());
         }

@@ -892,11 +892,16 @@ impl ScenarioSpec {
             reason,
         })?;
         if let Some(fs) = &self.faults {
-            fs.to_config().validate().map_err(|reason| ScenarioError::OutOfRange {
-                path: "faults".into(),
-                value: "<derived fault config>".into(),
-                reason,
-            })?;
+            // The fields as set, then the rate scale on top: a scaled
+            // rate leaves its domain only through `rate_scale` when the
+            // unscaled one is valid.
+            let unscaled = FaultsSpec { rate_scale: None, ..fs.clone() };
+            if let Some((field, value, reason)) = unscaled.to_config().invalid_field() {
+                return Err(range(&format!("faults.{field}"), value, reason));
+            }
+            if let Some((_, _, reason)) = fs.to_config().invalid_field() {
+                return Err(range("faults.rate_scale", fs.rate_scale.unwrap_or(1.0), reason));
+            }
         }
         if let Some(ns) = &self.net {
             if let Some(v) = ns.window_ms {
@@ -907,20 +912,14 @@ impl ScenarioSpec {
                     return Err(range("net.loss_prob", p, "must be a probability in [0, 1]"));
                 }
             }
-            ns.to_config().validate().map_err(|reason| ScenarioError::OutOfRange {
-                path: "net".into(),
-                value: "<derived net fault config>".into(),
-                reason,
-            })?;
+            if let Some((field, value, reason)) = ns.to_config().invalid_field() {
+                return Err(range(&format!("net.{field}"), value, reason));
+            }
         }
         if let Some(fl) = &self.fleet {
-            // FleetSpec::validate already speaks `fleet.<field>: ...`
-            // paths; keep its message as the reason verbatim.
-            fl.validate().map_err(|reason| ScenarioError::OutOfRange {
-                path: "fleet".into(),
-                value: "<fleet section>".into(),
-                reason,
-            })?;
+            if let Some((field, value, reason)) = fl.invalid_field() {
+                return Err(range(&format!("fleet.{field}"), value, reason));
+            }
         }
         Ok(())
     }
@@ -1639,9 +1638,13 @@ mod tests {
         );
         let doc = format!("{MINIMAL}\n[net]\nbloat_per_min = -1.0\n");
         let e = ScenarioSpec::from_toml(&doc).unwrap_err();
-        assert!(
-            matches!(&e, ScenarioError::OutOfRange { path, .. } if path == "net"),
-            "{e:?}"
+        assert_eq!(
+            e,
+            ScenarioError::OutOfRange {
+                path: "net.bloat_per_min".into(),
+                value: "-1".into(),
+                reason: "must be finite and >= 0".into(),
+            }
         );
 
         // No [net] section: no study.

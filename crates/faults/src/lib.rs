@@ -247,9 +247,10 @@ impl FaultConfig {
         }
     }
 
-    /// Validates rates and shapes; returns a human-readable reason on
-    /// the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    /// The first rate or shape outside its domain, as `(field, value,
+    /// reason)`, e.g. `("window_ms", 0.0, "must be finite and > 0")`;
+    /// `None` when the config is valid.
+    pub fn invalid_field(&self) -> Option<(&'static str, f64, &'static str)> {
         let rates = [
             ("feedback_per_min", self.feedback_per_min),
             ("command_per_min", self.command_per_min),
@@ -258,34 +259,31 @@ impl FaultConfig {
             ("hole_per_min", self.hole_per_min),
             ("tcp_burst_per_min", self.tcp_burst_per_min),
         ];
-        for (name, r) in rates {
-            if !r.is_finite() || r < 0.0 {
-                return Err(format!("{name} must be finite and >= 0, got {r}"));
-            }
+        if let Some((f, r)) = rates.into_iter().find(|&(_, r)| !r.is_finite() || r < 0.0) {
+            return Some((f, r, "must be finite and >= 0"));
         }
-        for (name, w) in [
+        let widths = [
             ("window_ms", self.window_ms),
             ("hole_ms", self.hole_ms),
             ("burst_ms", self.burst_ms),
             ("extra_delay_ms", self.extra_delay_ms),
-        ] {
-            if !w.is_finite() || w <= 0.0 {
-                return Err(format!("{name} must be finite and > 0, got {w}"));
-            }
+        ];
+        if let Some((f, w)) = widths.into_iter().find(|&(_, w)| !w.is_finite() || w <= 0.0) {
+            return Some((f, w, "must be finite and > 0"));
         }
-        if !(0.0..=1.0).contains(&self.delay_frac)
-            || !(0.0..=1.0).contains(&self.corrupt_frac)
-            || self.delay_frac + self.corrupt_frac > 1.0
-        {
-            return Err(format!(
-                "delay_frac + corrupt_frac must stay within [0, 1], got {} + {}",
-                self.delay_frac, self.corrupt_frac
-            ));
+        let probs = [
+            ("delay_frac", self.delay_frac),
+            ("corrupt_frac", self.corrupt_frac),
+            ("burst_loss_prob", self.burst_loss_prob),
+        ];
+        if let Some((f, p)) = probs.into_iter().find(|&(_, p)| !(0.0..=1.0).contains(&p)) {
+            return Some((f, p, "must be in [0, 1]"));
         }
-        if !(0.0..=1.0).contains(&self.burst_loss_prob) {
-            return Err(format!("burst_loss_prob must be in [0, 1], got {}", self.burst_loss_prob));
+        if self.delay_frac + self.corrupt_frac > 1.0 {
+            let reason = "delay_frac + corrupt_frac must stay within [0, 1]";
+            return Some(("corrupt_frac", self.corrupt_frac, reason));
         }
-        Ok(())
+        None
     }
 }
 
@@ -542,16 +540,17 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(FaultConfig::default().validate().is_ok());
-        assert!(FaultConfig::aggressive().validate().is_ok());
+        assert_eq!(FaultConfig::default().invalid_field(), None);
+        assert_eq!(FaultConfig::aggressive().invalid_field(), None);
+        let field = |bad: FaultConfig| bad.invalid_field().map(|(f, v, _)| (f, v));
         let bad = FaultConfig { feedback_per_min: -1.0, ..FaultConfig::default() };
-        assert!(bad.validate().is_err());
+        assert_eq!(field(bad), Some(("feedback_per_min", -1.0)));
         let bad = FaultConfig { burst_loss_prob: 1.5, ..FaultConfig::default() };
-        assert!(bad.validate().is_err());
+        assert_eq!(field(bad), Some(("burst_loss_prob", 1.5)));
         let bad = FaultConfig { delay_frac: 0.8, corrupt_frac: 0.5, ..FaultConfig::default() };
-        assert!(bad.validate().is_err());
+        assert_eq!(field(bad), Some(("corrupt_frac", 0.5)));
         let bad = FaultConfig { window_ms: 0.0, ..FaultConfig::default() };
-        assert!(bad.validate().is_err());
+        assert_eq!(field(bad), Some(("window_ms", 0.0)));
     }
 
     #[test]

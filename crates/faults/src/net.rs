@@ -167,53 +167,33 @@ impl NetFaultConfig {
         }
     }
 
-    /// Validates rates and shapes; returns a human-readable reason on
-    /// the first violation.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, r) in [
+    /// The first rate or shape outside its domain, as `(field, value,
+    /// reason)`; `None` when the config is valid.
+    pub fn invalid_field(&self) -> Option<(&'static str, f64, &'static str)> {
+        let non_negative = [
             ("bloat_per_min", self.bloat_per_min),
             ("jitter_per_min", self.jitter_per_min),
             ("rebind_per_min", self.rebind_per_min),
             ("outage_per_min", self.outage_per_min),
-        ] {
-            if !r.is_finite() || r < 0.0 {
-                return Err(format!("{name} must be finite and >= 0, got {r}"));
-            }
+            ("bloat_standing_pkts", self.bloat_standing_pkts),
+            ("jitter_spike_ms", self.jitter_spike_ms),
+        ];
+        if let Some((f, v)) = non_negative.into_iter().find(|&(_, v)| !v.is_finite() || v < 0.0) {
+            return Some((f, v, "must be finite and >= 0"));
         }
-        for (name, w) in [
+        let positive = [
             ("bloat_ms", self.bloat_ms),
             ("jitter_ms", self.jitter_ms),
             ("outage_ms", self.outage_ms),
-        ] {
-            if !w.is_finite() || w <= 0.0 {
-                return Err(format!("{name} must be finite and > 0, got {w}"));
-            }
-        }
-        if !(self.bloat_drain_pkts_per_ms.is_finite() && self.bloat_drain_pkts_per_ms > 0.0) {
-            return Err(format!(
-                "bloat_drain_pkts_per_ms must be finite and > 0, got {}",
-                self.bloat_drain_pkts_per_ms
-            ));
+            ("bloat_drain_pkts_per_ms", self.bloat_drain_pkts_per_ms),
+        ];
+        if let Some((f, v)) = positive.into_iter().find(|&(_, v)| !v.is_finite() || v <= 0.0) {
+            return Some((f, v, "must be finite and > 0"));
         }
         if !(self.bloat_queue_pkts.is_finite() && self.bloat_queue_pkts >= 1.0) {
-            return Err(format!(
-                "bloat_queue_pkts must be finite and >= 1, got {}",
-                self.bloat_queue_pkts
-            ));
+            return Some(("bloat_queue_pkts", self.bloat_queue_pkts, "must be finite and >= 1"));
         }
-        if !(self.bloat_standing_pkts.is_finite() && self.bloat_standing_pkts >= 0.0) {
-            return Err(format!(
-                "bloat_standing_pkts must be finite and >= 0, got {}",
-                self.bloat_standing_pkts
-            ));
-        }
-        if !(self.jitter_spike_ms.is_finite() && self.jitter_spike_ms >= 0.0) {
-            return Err(format!(
-                "jitter_spike_ms must be finite and >= 0, got {}",
-                self.jitter_spike_ms
-            ));
-        }
-        Ok(())
+        None
     }
 }
 
@@ -459,14 +439,15 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(NetFaultConfig::default().validate().is_ok());
-        assert!(NetFaultConfig::aggressive().validate().is_ok());
+        assert_eq!(NetFaultConfig::default().invalid_field(), None);
+        assert_eq!(NetFaultConfig::aggressive().invalid_field(), None);
+        let field = |bad: NetFaultConfig| bad.invalid_field().map(|(f, _, _)| f);
         let bad = NetFaultConfig { rebind_per_min: -0.1, ..NetFaultConfig::default() };
-        assert!(bad.validate().is_err());
+        assert_eq!(field(bad), Some("rebind_per_min"));
         let bad = NetFaultConfig { bloat_queue_pkts: 0.0, ..NetFaultConfig::default() };
-        assert!(bad.validate().is_err());
+        assert_eq!(field(bad), Some("bloat_queue_pkts"));
         let bad = NetFaultConfig { outage_ms: f64::NAN, ..NetFaultConfig::default() };
-        assert!(bad.validate().is_err());
+        assert_eq!(field(bad), Some("outage_ms"));
     }
 
     #[test]

@@ -87,37 +87,43 @@ impl FleetSpec {
         self.trains as u64 * self.ues_per_train as u64
     }
 
-    /// Structural validation with field paths, mirroring the scenario
-    /// layer's style: an invalid spec never reaches the engine.
-    pub fn validate(&self) -> Result<(), String> {
-        let pos = |path: &str, v: f64| -> Result<(), String> {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("fleet.{path}: {v} must be finite and > 0"));
-            }
-            Ok(())
-        };
-        if self.trains == 0 {
-            return Err("fleet.trains: must be >= 1".into());
+    /// The first field outside its domain, as `(field, value, reason)`,
+    /// e.g. `("trains", 0.0, "must be >= 1")`; `None` when the spec is
+    /// valid.
+    pub fn invalid_field(&self) -> Option<(&'static str, f64, &'static str)> {
+        let counts = [
+            ("trains", self.trains),
+            ("ues_per_train", self.ues_per_train),
+            ("shards", self.shards),
+        ];
+        if let Some((f, n)) = counts.into_iter().find(|&(_, n)| n == 0) {
+            return Some((f, f64::from(n), "must be >= 1"));
         }
-        if self.ues_per_train == 0 {
-            return Err("fleet.ues_per_train: must be >= 1".into());
+        let positive = [
+            ("corridor_km", self.corridor_km),
+            ("cell_spacing_m", self.cell_spacing_m),
+            ("speed_kmh", self.speed_kmh),
+            ("headway_s", self.headway_s),
+            ("duration_s", self.duration_s),
+            ("epoch_ms", self.epoch_ms),
+        ];
+        if let Some((f, v)) = positive.into_iter().find(|&(_, v)| !v.is_finite() || v <= 0.0) {
+            return Some((f, v, "must be finite and > 0"));
         }
-        if self.shards == 0 {
-            return Err("fleet.shards: must be >= 1".into());
-        }
-        pos("corridor_km", self.corridor_km)?;
-        pos("cell_spacing_m", self.cell_spacing_m)?;
-        pos("speed_kmh", self.speed_kmh)?;
-        pos("headway_s", self.headway_s)?;
-        pos("duration_s", self.duration_s)?;
-        pos("epoch_ms", self.epoch_ms)?;
         if !self.speed_jitter.is_finite() || !(0.0..1.0).contains(&self.speed_jitter) {
-            return Err(format!(
-                "fleet.speed_jitter: {} must be in [0, 1)",
-                self.speed_jitter
-            ));
+            return Some(("speed_jitter", self.speed_jitter, "must be in [0, 1)"));
         }
-        Ok(())
+        None
+    }
+
+    /// [`FleetSpec::invalid_field`] as a message with the dotted field
+    /// path (`fleet.trains: must be >= 1 (got 0)`): an invalid spec
+    /// never reaches the engine.
+    pub fn validate(&self) -> Result<(), String> {
+        match self.invalid_field() {
+            Some((field, value, reason)) => Err(format!("fleet.{field}: {reason} (got {value})")),
+            None => Ok(()),
+        }
     }
 
     /// Canonical campaign fingerprint: hand-rolled JSON of the spec in

@@ -30,11 +30,10 @@
 //! Plans are pure functions of the length: a cached plan produces
 //! bit-identical output to a freshly built one, and any thread count
 //! produces bit-identical results (each worker's planner builds the
-//! same tables). Setting the environment variable `REM_DSP_PLAN=off`
-//! routes the free functions through the original per-call
-//! ([`fft_unplanned`]) implementation, which is the baseline the
-//! `dsp_json` benchmark records and the determinism CI job compares
-//! against.
+//! same tables). The original per-call implementation stays as
+//! [`fft_unplanned`]/[`ifft_unplanned`]: the baseline the `dsp_json`
+//! benchmark records, and the reference the planned path must match
+//! bit for bit.
 //!
 //! Conventions: `fft` computes `X[k] = sum_n x[n] e^{-j 2 pi k n / N}`
 //! (no scaling); `ifft` applies the `+j` kernel and divides by `N`, so
@@ -48,15 +47,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::f64::consts::PI;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 /// In-place forward FFT. Accepts any length; length 0 is a no-op.
 pub fn fft(data: &mut [Complex64]) {
     if data.len() <= 1 {
         return;
-    }
-    if !plan_cache_enabled() {
-        return fft_unplanned(data);
     }
     with_thread_planner(|planner, scratch| {
         let plan = planner.plan(data.len());
@@ -69,9 +64,6 @@ pub fn ifft(data: &mut [Complex64]) {
     if data.len() <= 1 {
         return;
     }
-    if !plan_cache_enabled() {
-        return ifft_unplanned(data);
-    }
     with_thread_planner(|planner, scratch| {
         let plan = planner.plan(data.len());
         plan.inverse(data, scratch);
@@ -83,10 +75,6 @@ pub fn ifft(data: &mut [Complex64]) {
 /// with one fewer pass over the data.
 pub fn ifft_unnormalized(data: &mut [Complex64]) {
     if data.len() <= 1 {
-        return;
-    }
-    if !plan_cache_enabled() {
-        legacy::transform(data, legacy::Direction::Inverse);
         return;
     }
     with_thread_planner(|planner, scratch| {
@@ -155,15 +143,6 @@ pub fn dft_naive(input: &[Complex64], inverse: bool) -> Vec<Complex64> {
         }
     }
     out
-}
-
-/// True unless `REM_DSP_PLAN=off` (or `0`) disables the plan cache,
-/// routing the free functions through the per-call legacy path.
-fn plan_cache_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("REM_DSP_PLAN").map(|v| v != "off" && v != "0").unwrap_or(true)
-    })
 }
 
 thread_local! {

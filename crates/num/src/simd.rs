@@ -16,7 +16,7 @@
 //! reductions, no approximate reciprocals. SIMD therefore changes
 //! throughput, never results: `rem compare --hash` digests are
 //! bit-identical across tiers, and CI gates `REM_DSP_SIMD=off` against
-//! the auto-detected tier exactly the way the FFT plan cache is gated.
+//! the auto-detected tier.
 //!
 //! ## Override
 //!

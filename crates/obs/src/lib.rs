@@ -34,7 +34,7 @@
 //!   with deterministic snapshots and a Prometheus-style text dump;
 //! * [`manifest`] — a [`manifest::RunManifest`] written next to every
 //!   checkpoint/bench artifact: campaign fingerprint, seeds, thread
-//!   count, chaos/fault config, DSP plan-cache mode, git SHA and the
+//!   count, chaos/fault config, SIMD tier, git SHA and the
 //!   result hash, so any `--hash` value is reproducible from its
 //!   manifest alone (`rem rerun <manifest>`).
 //!

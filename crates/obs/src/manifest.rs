@@ -4,7 +4,7 @@
 //! artifact. It captures everything needed to reproduce the run's
 //! `--hash` from scratch — the campaign fingerprint (the same
 //! `spec_json` the checkpoint stores), seed/trial counts, thread
-//! count, retry/chaos policy, the DSP plan-cache mode and the git
+//! count, retry/chaos policy, the SIMD tier and the git
 //! SHA — plus the result hash itself, so `rem rerun <manifest>` can
 //! replay the campaign and gate on hash equality (the CI
 //! manifest-gate does exactly this).
@@ -52,9 +52,6 @@ pub struct RunManifest {
     /// retried to the unfaulted value and never move the hash).
     #[serde(default)]
     pub chaos: Option<serde_json::Value>,
-    /// DSP plan-cache mode (`REM_DSP_PLAN`, `"on"` when unset).
-    #[serde(default)]
-    pub plan_cache: String,
     /// Active SIMD dispatch tier of the DSP kernels (`"scalar"`,
     /// `"avx2"`, `"neon"`). Provenance only: every tier is bit-exact
     /// against the scalar reference, so the hash never depends on it.
@@ -99,8 +96,8 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// A manifest for a campaign of `n_trials` over fingerprint
-    /// `spec_json`, with environment provenance (plan-cache mode, git
-    /// SHA, probe availability) captured from the current process.
+    /// `spec_json`, with environment provenance (SIMD tier, git SHA,
+    /// probe availability) captured from the current process.
     pub fn new(kind: &str, spec_json: &str, n_trials: usize) -> Self {
         Self {
             format: MANIFEST_FORMAT.to_string(),
@@ -112,7 +109,6 @@ impl RunManifest {
             trial_timeout_ms: None,
             checkpoint_every: 0,
             chaos: None,
-            plan_cache: std::env::var("REM_DSP_PLAN").unwrap_or_else(|_| "on".to_string()),
             simd_dispatch: rem_num::simd::active_tier().name().to_string(),
             cpu_features: rem_num::simd::cpu_features(),
             git_sha: git_sha(),
@@ -238,7 +234,6 @@ mod tests {
     fn new_captures_environment_provenance() {
         let m = RunManifest::new("compare", "{}", 2);
         assert_eq!(m.format, MANIFEST_FORMAT);
-        assert!(!m.plan_cache.is_empty());
         assert_eq!(m.obs_enabled, crate::compiled_in());
         // SIMD provenance: the active tier name and the CPU feature
         // list are always captured (both non-empty on every platform).
@@ -252,5 +247,15 @@ mod tests {
         let m: RunManifest = serde_json::from_str(body).expect("parse");
         assert_eq!(m.simd_dispatch, "");
         assert_eq!(m.cpu_features, "");
+    }
+
+    #[test]
+    fn manifests_with_the_retired_plan_cache_field_still_load() {
+        // Manifests written while the FFT plan cache had an off switch
+        // record its mode; the field is ignored now.
+        let body = r#"{"format":"REMMANIFEST1","kind":"compare","spec_json":"{}","n_trials":4,"plan_cache":"off","result_hash":"fnv1a64:0123456789abcdef"}"#;
+        let m: RunManifest = serde_json::from_str(body).expect("parse");
+        assert_eq!(m.kind, "compare");
+        assert_eq!(m.result_hash.as_deref(), Some("fnv1a64:0123456789abcdef"));
     }
 }

@@ -5,13 +5,27 @@
 //! overlay, reproducing the paper's replay methodology (§7): same
 //! radio environment, same policies, different mobility machinery.
 //!
+//! A replay has two halves, and [`simulate_run`] steps one over the
+//! other:
+//!
+//! - the **environment stream** (`EnvStream`): the deployment, owned by
+//!   its [`RadioEnv`], the `environment` RNG stream, the trajectory and
+//!   the last second of observations. It depends on the dataset and the
+//!   seed only, never on the plane, so both planes of a seed replay the
+//!   same radio conditions;
+//! - the **plane state** (`PlaneState`): the client's connection state,
+//!   its event monitors, the RLF bookkeeping, the `link-<plane>` and
+//!   `estimation` RNG streams and the metrics. `PlaneState::step`
+//!   advances it by one epoch of the stream.
+//!
 //! Per measurement epoch (20 ms):
 //!
-//! 1. advance the client, observe per-cell RSRP/SNR (slow envelope);
-//! 2. evaluate measurement events on *stale* observations — the
-//!    staleness models the sequential measurement + reporting pipeline
-//!    of §3.1 (legacy intra ≈ 160 ms, inter ≈ 640 ms; REM ≈ 40 ms via
-//!    cross-band estimation);
+//! 1. the stream advances the client and observes per-cell RSRP/SNR
+//!    (slow envelope);
+//! 2. the plane evaluates measurement events on *stale* observations —
+//!    the staleness models the sequential measurement + reporting
+//!    pipeline of §3.1 (legacy intra ≈ 160 ms, inter ≈ 640 ms; REM ≈
+//!    40 ms via cross-band estimation);
 //! 3. fired events start a handover attempt: uplink report, decision,
 //!    downlink command, attach — each message drawn from the
 //!    waveform-dependent link model (OFDM for legacy, OTFS for REM);
@@ -25,6 +39,7 @@ use crate::linkmodel::{deliver_with_harq, effective_sinr_db, SignalingLinkCfg};
 use crate::metrics::{detect_loops, FailureRecord, HandoverRecord, RunMetrics};
 use crate::radio::{CellRadio, RadioEnv, ShadowingCfg};
 use crate::trace::SignalingEvent;
+use crate::trajectory::Trajectory;
 use rem_faults::{FaultConfig, FaultKind, FaultMode, FaultPlan, InjectedFault, OraclePair};
 use rem_mobility::events::{EventConfig, EventKind, EventMonitor};
 use rem_mobility::x2::target_handle_request;
@@ -148,6 +163,8 @@ impl Default for ReestablishCfg {
 
 const EPOCH_MS: f64 = 20.0;
 const RANGE_M: f64 = 4_000.0;
+/// Observations kept for the staleness lookups: one second of epochs.
+const HISTORY_LEN: usize = (1_000.0 / EPOCH_MS) as usize + 2;
 /// Minimum target SINR to attach (dB).
 const ATTACH_MIN_SNR_DB: f64 = -6.0;
 /// Q_out: serving SINR below this arms the RLF timer (dB).
@@ -177,6 +194,8 @@ const POST_HO_GUARD_MS: f64 = 1_500.0;
 const A2_THRESH_DBM: f64 = -112.0;
 const A1_THRESH_DBM: f64 = -100.0;
 const A4_THRESH_DBM: f64 = -110.0;
+/// REM's single-stage A3 time-to-trigger (ms).
+const REM_TTT_MS: f64 = 40.0;
 /// X2 handover-preparation round trip on the backhaul (ms).
 const X2_PREP_MS: f64 = 5.0;
 /// Serving-cell guard timer on a lost X2 preparation (ms).
@@ -185,36 +204,147 @@ const X2_PREP_TIMEOUT_MS: f64 = 120.0;
 /// failure is still attributed to it (the fade + RLF timer lag the
 /// blinding that caused them).
 const MASK_ATTRIB_SLACK_MS: f64 = 1_000.0;
+/// How long a broken signaling exchange still explains a radio-link
+/// failure (ms).
+const MSG_FAILURE_ATTRIB_MS: f64 = 5_000.0;
 /// Cross-band estimates outside this envelope (Fig 12's 90% bound) are
 /// low-confidence: REM degrades to directly-measured cells only.
 const CONF_LIMIT_DB: f64 = 2.0;
 
+/// Runs one campaign and returns its metrics.
+pub fn simulate_run(cfg: &RunConfig) -> RunMetrics {
+    let mut env = EnvStream::new(&cfg.spec, cfg.seed);
+    let mut plane = PlaneState::new(cfg, env.radio.deployment(), env.strongest());
+    while let Some(epoch) = env.next_epoch() {
+        plane.step(&epoch);
+    }
+    plane.finish()
+}
+
+/// The plane-independent half of a replay. Only
+/// [`DeploymentSpec::generate`](crate::deployment::DeploymentSpec::generate)
+/// and [`RadioEnv::observe_into`] draw from its `environment` stream.
+struct EnvStream {
+    radio: RadioEnv,
+    rng: SimRng,
+    trajectory: Trajectory,
+    duration_ms: f64,
+    /// Start of the next epoch (ms).
+    t: f64,
+    /// The latest observation, by descending RSRP.
+    by_rsrp: Vec<CellRadio>,
+    /// One observation per epoch over the last second, each sorted by
+    /// `CellId`. Slots are recycled once the ring is full, so the
+    /// stream stops allocating after its first second.
+    history: VecDeque<(f64, Vec<CellRadio>)>,
+}
+
+impl EnvStream {
+    /// The stream of `spec` under `seed`, with the client observed once
+    /// at the route start for its initial attach.
+    fn new(spec: &DatasetSpec, seed: u64) -> Self {
+        let mut rng = child_rng(seed, "environment");
+        let deployment = spec.deployment.generate(&mut rng);
+        let shadowing =
+            ShadowingCfg { sigma_db: spec.shadow_sigma_db, d_corr_m: spec.shadow_dcorr_m };
+        let mut radio = RadioEnv::new(deployment, shadowing);
+        let mut by_rsrp = Vec::new();
+        radio.observe_into(0.0, RANGE_M, &mut rng, &mut by_rsrp);
+        Self {
+            radio,
+            rng,
+            trajectory: spec.trajectory(),
+            duration_ms: spec.duration_s() * 1e3,
+            t: 0.0,
+            by_rsrp,
+            history: VecDeque::with_capacity(HISTORY_LEN),
+        }
+    }
+
+    /// The strongest cell of the latest observation.
+    fn strongest(&self) -> Option<CellId> {
+        self.by_rsrp.first().map(|c| c.cell)
+    }
+
+    /// Advances the client by one epoch and observes every cell in
+    /// range; `None` once the route is done.
+    fn next_epoch(&mut self) -> Option<Epoch<'_>> {
+        let t = self.t;
+        if t >= self.duration_ms {
+            return None;
+        }
+        self.t += EPOCH_MS;
+        let (pos_m, speed_ms) = self.trajectory.state_at(t / 1e3);
+        self.radio.observe_into(pos_m, RANGE_M, &mut self.rng, &mut self.by_rsrp);
+        let mut slot = if self.history.len() == HISTORY_LEN {
+            self.history.pop_front().expect("the history is full").1
+        } else {
+            Vec::new()
+        };
+        slot.clear();
+        slot.extend_from_slice(&self.by_rsrp);
+        slot.sort_unstable_by_key(|c| c.cell);
+        self.history.push_back((t, slot));
+        let history = &self.history;
+        Some(Epoch {
+            t,
+            pos_m,
+            speed_ms,
+            deployment: self.radio.deployment(),
+            by_rsrp: &self.by_rsrp,
+            now: &history.back().expect("pushed above").1,
+            history,
+        })
+    }
+}
+
+/// One epoch of the environment stream, as every plane sees it.
+struct Epoch<'a> {
+    t: f64,
+    pos_m: f64,
+    speed_ms: f64,
+    deployment: &'a Deployment,
+    /// This epoch's observation, by descending RSRP.
+    by_rsrp: &'a [CellRadio],
+    /// This epoch's observation, sorted by `CellId`.
+    now: &'a [CellRadio],
+    history: &'a VecDeque<(f64, Vec<CellRadio>)>,
+}
+
+impl<'a> Epoch<'a> {
+    /// The latest observation at least `delay_ms` old (the oldest one
+    /// kept while the run is younger than that), sorted by `CellId`.
+    fn stale(&self, delay_ms: f64) -> &'a [CellRadio] {
+        let cutoff = self.t - delay_ms;
+        let (_, slot) =
+            self.history.iter().rev().find(|(ht, _)| *ht <= cutoff).unwrap_or(&self.history[0]);
+        slot
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 enum UeState {
-    Connected {
-        serving: CellId,
-    },
-    /// A handover attempt resolving at `resolve_at_ms`.
-    Attempting {
-        serving: CellId,
-        target: CellId,
-        resolve_at_ms: f64,
-        outcome: AttemptOutcome,
-        feedback_delay_ms: f64,
-        /// Typed procedure state, supervised by the T310/T304 timers.
-        sm: HandoverAttempt,
-        /// The fault class that bit this attempt's messages, if any
-        /// (ground truth for the classification oracle).
-        injected: Option<FaultKind>,
-        /// X2 preparation context at the target, when admitted.
-        prep: Option<HandoverPreparation>,
-    },
-    Outage {
-        since_ms: f64,
-        cause: FailureCause,
-        next_try_ms: f64,
-        attempt: u32,
-    },
+    Connected { serving: CellId },
+    Attempting(Attempt),
+    Outage(Outage),
+}
+
+/// A handover attempt whose message exchanges ran when it triggered;
+/// it resolves at `resolve_at_ms`.
+#[derive(Clone, Copy, Debug)]
+struct Attempt {
+    serving: CellId,
+    target: CellId,
+    resolve_at_ms: f64,
+    outcome: AttemptOutcome,
+    feedback_delay_ms: f64,
+    /// Typed procedure state, supervised by the T310/T304 timers.
+    sm: HandoverAttempt,
+    /// The fault class that bit this attempt's messages, if any
+    /// (ground truth for the classification oracle).
+    injected: Option<FaultKind>,
+    /// X2 preparation context at the target, when admitted.
+    prep: Option<HandoverPreparation>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -227,670 +357,811 @@ enum AttemptOutcome {
     TargetFaded,
 }
 
-/// Runs one campaign and returns its metrics.
-pub fn simulate_run(cfg: &RunConfig) -> RunMetrics {
-    let spec = &cfg.spec;
-    let mut env_rng = child_rng(cfg.seed, "environment");
-    let mut link_rng = child_rng(cfg.seed, &format!("link-{:?}", cfg.plane));
-    let mut est_rng = child_rng(cfg.seed, "estimation");
+/// Out of service after a radio-link failure, retrying
+/// re-establishment from `next_try_ms`.
+#[derive(Clone, Copy, Debug)]
+struct Outage {
+    since_ms: f64,
+    cause: FailureCause,
+    next_try_ms: f64,
+    attempt: u32,
+}
 
-    let deployment = spec.deployment.generate(&mut env_rng);
-    let mut env = RadioEnv::new(
-        deployment.clone(),
-        ShadowingCfg { sigma_db: spec.shadow_sigma_db, d_corr_m: spec.shadow_dcorr_m },
-    );
+impl Outage {
+    /// An outage since `since_ms` that starts a full cell scan at `t`.
+    fn scan(since_ms: f64, cause: FailureCause, t: f64) -> Self {
+        Self { since_ms, cause, next_try_ms: t + REESTABLISH_SCAN_MS, attempt: 0 }
+    }
+}
 
-    let trajectory = spec.trajectory();
-    let duration_ms = spec.duration_s() * 1e3;
-    let waveform = match cfg.plane {
-        Plane::Legacy => Waveform::Ofdm,
-        Plane::Rem if cfg.ablation.otfs_signaling => Waveform::Otfs,
-        Plane::Rem => Waveform::Ofdm,
-    };
-    // Cross-band ablation: REM falls back to legacy measurement
-    // staleness when it must measure every band sequentially.
-    let rem_staleness = if cfg.ablation.crossband_feedback {
-        spec.rem_staleness_ms
-    } else {
-        spec.intra_staleness_ms.max(spec.inter_staleness_ms)
-    };
+/// The last signaling exchange that broke: when, with what cause, and
+/// the injected fault class that broke it, if any (the oracle's ground
+/// truth).
+#[derive(Clone, Copy, Debug)]
+struct MsgFailure {
+    t_ms: f64,
+    cause: FailureCause,
+    injected: Option<FaultKind>,
+}
 
-    // This epoch's observation, by descending RSRP.
-    let mut obs_vec: Vec<CellRadio> = Vec::new();
-    // Measurement history for staleness lookups: one slot per epoch,
-    // each sorted by `CellId`. Slots are recycled once the history is
-    // full, so the epoch loop stops allocating after its first second.
-    let hist_len = (1_000.0 / EPOCH_MS) as usize + 2;
-    let mut history: VecDeque<(f64, Vec<CellRadio>)> = VecDeque::with_capacity(hist_len);
+/// A fired measurement event: the handover target, and the
+/// time-to-trigger and measurement staleness it waited through (ms).
+#[derive(Clone, Copy, Debug)]
+struct Trigger {
+    target: CellId,
+    ttt_ms: f64,
+    staleness_ms: f64,
+}
 
-    // Per-cell state lives in dense vectors indexed by cell id
-    // (`generate` numbers cells from 0).
-    let n_cells = deployment.cells().map(|c| c.id.0 as usize + 1).max().unwrap_or(0);
+/// The measurement-event state a plane carries between epochs:
+/// time-to-trigger per candidate cell (indexed by cell id) and legacy's
+/// A2/A1 stage gate.
+#[derive(Clone, Debug)]
+struct Monitors {
+    a3: Vec<EventMonitor>,
+    a4: Vec<EventMonitor>,
+    a2: EventMonitor,
+    a1: EventMonitor,
+    /// Legacy stage 2: the A2 gate is open and inter-frequency cells
+    /// are measured.
+    stage2: bool,
+}
 
-    // Event-monitor state.
-    let mut a3_monitors = vec![EventMonitor::default(); n_cells];
-    let mut a4_monitors = vec![EventMonitor::default(); n_cells];
-    let mut a2_monitor = EventMonitor::default();
-    let mut a1_monitor = EventMonitor::default();
-    let mut stage2 = false;
-    let mut stage2_since_ms = f64::NAN;
-
-    // REM cross-band estimation error: slowly-varying per-cell AR(1)
-    // (the delay-Doppler profile drifts on path-geometry timescales,
-    // so the estimation error is correlated over hundreds of ms).
-    let mut est_err: Vec<Option<f64>> = vec![None; n_cells];
-
-    // RLF bookkeeping. The message-failure latch remembers when the
-    // last signaling exchange broke, with what cause, and — when an
-    // injected fault broke it — the ground-truth fault class for the
-    // classification oracle.
-    let mut below_since: Option<f64> = None;
-    let mut last_msg_failure: Option<(f64, FailureCause, Option<FaultKind>)> = None;
-    let mut guard_until_ms = 0.0f64;
-
-    // Rolling BLER window for Fig 2b (5 s).
-    let mut bler_window: VecDeque<(f64, f64, f64)> = VecDeque::new();
-
-    let mut metrics = RunMetrics { duration_s: spec.duration_s(), ..Default::default() };
-
-    // The fault schedule is a pure function of (seed, client_id) drawn
-    // from its own child_rng streams: it never touches the simulation
-    // RNGs above, so campaigns stay bit-identical on any thread count
-    // and an unfaulted run is byte-for-byte the pre-injection run.
-    let plan = match &cfg.faults {
-        Some(fc) => FaultPlan::generate(fc, cfg.seed, cfg.client_id, duration_ms),
-        None => FaultPlan::empty(),
-    };
-    let extra_delay_ms = cfg.faults.as_ref().map_or(0.0, |f| f.extra_delay_ms);
-
-    // X2 endpoint state: one client, so target-side admission control
-    // is modeled as a single shared pool, released as attempts resolve.
-    let ue = UeId(cfg.client_id as u32);
-    let mut admission = AdmissionControl::new(8);
-    let mut rach_preamble: u8 = 0;
-
-    // Initial attach.
-    env.observe_into(0.0, RANGE_M, &mut env_rng, &mut obs_vec);
-    let mut state = match obs_vec.first() {
-        Some(best) => {
-            if cfg.record_trace {
-                metrics.trace.push(SignalingEvent::Attach { t_ms: 0.0, cell: best.cell });
-            }
-            UeState::Connected { serving: best.cell }
+impl Monitors {
+    fn new(n_cells: usize) -> Self {
+        Self {
+            a3: vec![EventMonitor::default(); n_cells],
+            a4: vec![EventMonitor::default(); n_cells],
+            a2: EventMonitor::default(),
+            a1: EventMonitor::default(),
+            stage2: false,
         }
-        None => UeState::Outage {
-            since_ms: 0.0,
-            cause: FailureCause::CoverageHole,
-            next_try_ms: REESTABLISH_SCAN_MS,
-            attempt: 0,
-        },
-    };
+    }
 
-    let mut t = 0.0f64;
-    while t < duration_ms {
-        let (pos, speed) = trajectory.state_at(t / 1e3);
-        env.observe_into(pos, RANGE_M, &mut env_rng, &mut obs_vec);
-        let mut slot = if history.len() == hist_len {
-            history.pop_front().expect("the history is full").1
+    /// Clears every candidate's trigger so it can fire again: the UE
+    /// keeps reporting after a failed attempt.
+    fn clear_candidates(&mut self) {
+        self.a3.fill(EventMonitor::default());
+        self.a4.fill(EventMonitor::default());
+    }
+
+    /// Back to stage 1 with every timer cleared, after a handover or a
+    /// radio-link failure.
+    fn reset(&mut self) {
+        self.clear_candidates();
+        self.a2.reset();
+        self.a1.reset();
+        self.stage2 = false;
+    }
+
+    /// Legacy event evaluation: intra-frequency A3 per neighbour on the
+    /// intra-frequency view, and A2/A1-gated stage 2 with A4 per
+    /// inter-frequency neighbour on the inter-frequency view. Returns
+    /// the strongest candidate that fired this epoch (the first one on
+    /// ties).
+    fn legacy(
+        &mut self,
+        spec: &DatasetSpec,
+        deployment: &Deployment,
+        serving: CellId,
+        t: f64,
+        intra_obs: &[CellRadio],
+        inter_obs: &[CellRadio],
+    ) -> Option<Trigger> {
+        let serving_earfcn = deployment.cell(serving)?.earfcn;
+        let serving_rsrp =
+            |obs: &[CellRadio]| radio_of(obs, serving).map_or(-140.0, |c| c.rsrp_dbm);
+        let (intra_rsrp, inter_rsrp) = (serving_rsrp(intra_obs), serving_rsrp(inter_obs));
+
+        // Stage gates on (stale) serving RSRP.
+        let gate = |kind| EventConfig { kind, ttt_ms: spec.inter_ttt_ms, hysteresis_db: 1.0 };
+        if !self.stage2 {
+            let a2 = gate(EventKind::A2 { thresh: A2_THRESH_DBM });
+            if self.a2.observe(&a2, t, inter_rsrp, 0.0) {
+                self.stage2 = true;
+                self.a1.reset();
+            }
         } else {
-            Vec::new()
-        };
-        slot.clear();
-        slot.extend_from_slice(&obs_vec);
-        slot.sort_unstable_by_key(|c| c.cell);
-        history.push_back((t, slot));
-        let obs: &[CellRadio] = &history.back().expect("pushed above").1;
-        let stale = |delay_ms: f64| -> &[CellRadio] {
-            let cutoff = t - delay_ms;
-            let (_, slot) =
-                history.iter().rev().find(|(ht, _)| *ht <= cutoff).unwrap_or(&history[0]);
-            slot
-        };
+            let a1 = gate(EventKind::A1 { thresh: A1_THRESH_DBM });
+            if self.a1.observe(&a1, t, inter_rsrp, 0.0) {
+                self.stage2 = false;
+                self.a4.fill(EventMonitor::default());
+                self.a2.reset();
+            }
+        }
 
-        // An injected blackout: no cell receivable for the window. The
-        // environment was still observed above, so the `environment`
-        // RNG stream is identical with and without the fault.
-        let forced_hole = plan.active(FaultKind::CoverageHole, t).is_some();
-
-        match state {
-            UeState::Connected { serving } => {
-                let serving_now = radio_of(obs, serving);
-                let serving_cell = deployment.cell(serving);
-
-                // --- BLER window sample (serving link, both directions).
-                if let (Some(sr), Some(sc)) = (serving_now, serving_cell) {
-                    let ul = bler_estimate(
-                        effective_sinr_db(&cfg.link, sr.snr_db, speed, sc.carrier_hz, waveform, &mut link_rng),
-                        Modulation::Qpsk,
-                    );
-                    let dl = bler_estimate(
-                        effective_sinr_db(&cfg.link, sr.snr_db, speed, sc.carrier_hz, waveform, &mut link_rng),
-                        Modulation::Qpsk,
-                    );
-                    bler_window.push_back((t, ul, dl));
-                    while bler_window.front().is_some_and(|(wt, _, _)| t - wt > 5_000.0) {
-                        bler_window.pop_front();
-                    }
-                }
-
-                // --- RLF detection (an injected blackout reads as no
-                // receivable serving signal).
-                let snr_now = if forced_hole {
-                    -30.0
-                } else {
-                    serving_now.map(|c| c.snr_db).unwrap_or(-30.0)
-                };
-                if snr_now < RLF_SNR_DB {
-                    if below_since.is_none() {
-                        below_since = Some(t);
-                    }
-                } else {
-                    below_since = None;
-                }
-                if below_since.is_some_and(|b| t - b >= RLF_TIMER_MS) {
-                    let missed_possible =
-                        missed_cell_possible(&deployment, &obs_vec, serving, stage2, cfg.plane);
-                    let cause = classify_rlf(
-                        &deployment,
-                        pos,
-                        &obs_vec,
-                        serving,
-                        forced_hole,
-                        missed_possible,
-                        t,
-                        last_msg_failure,
-                    );
-                    // Oracle bookkeeping: when the failure is
-                    // attributable to an injected fault, pair the
-                    // fault's ground truth with the classification.
-                    if let Some(kind) = attribute_failure(
-                        &plan,
-                        forced_hole,
-                        deployment.in_hole(pos),
-                        last_msg_failure,
-                        missed_possible,
-                        t,
-                    ) {
-                        if matches!(kind, FaultKind::CoverageHole | FaultKind::MaskCell) {
-                            metrics.injected.push(InjectedFault {
-                                t_ms: t,
-                                kind,
-                                mode: FaultMode::Drop,
-                            });
-                        }
-                        metrics.fault_oracle.push(OraclePair {
-                            t_ms: t,
-                            kind,
-                            truth: kind.ground_truth(),
-                            classified: cause,
-                        });
-                    }
-                    for (_, ul, dl) in &bler_window {
-                        metrics.bler_before_failure_ul.push(*ul);
-                        metrics.bler_before_failure_dl.push(*dl);
-                    }
-                    if cfg.record_trace {
-                        metrics.trace.push(SignalingEvent::RadioLinkFailure {
-                            t_ms: t,
-                            serving,
-                            cause,
-                        });
-                    }
-                    state = UeState::Outage {
-                        since_ms: t,
-                        cause,
-                        next_try_ms: t + REESTABLISH_SCAN_MS,
-                        attempt: 0,
-                    };
-                    below_since = None;
-                    last_msg_failure = None;
-                    reset_monitors(&mut a3_monitors, &mut a4_monitors, &mut a2_monitor, &mut a1_monitor, &mut stage2);
-                    t += EPOCH_MS;
+        // Intra-frequency A3, then inter-frequency A4 in stage 2 only
+        // (the §3.2 missed-cell mechanism: those cells are simply
+        // invisible until the A2 gate opens).
+        let stages = [
+            (true, intra_obs, intra_rsrp, spec.intra_ttt_ms, spec.intra_staleness_ms),
+            (false, inter_obs, inter_rsrp, spec.inter_ttt_ms, spec.inter_staleness_ms),
+        ];
+        let mut best: Option<(f64, Trigger)> = None;
+        for (intra, obs, serving_dbm, ttt_ms, staleness_ms) in
+            stages.into_iter().take(1 + usize::from(self.stage2))
+        {
+            let monitors = if intra { &mut self.a3 } else { &mut self.a4 };
+            for radio in obs {
+                let cell_id = radio.cell;
+                if cell_id == serving {
                     continue;
                 }
-
-                // --- Event evaluation on stale measurements (suppressed
-                // during the post-handover settling guard, during an
-                // injected blackout, and while an injected mask blinds
-                // the measurement pipeline).
-                let masked = plan.active(FaultKind::MaskCell, t).is_some();
-                let stage2_before = stage2;
-                let trigger = if t < guard_until_ms || forced_hole || masked {
-                    None
-                } else {
-                    match cfg.plane {
-                    Plane::Legacy => evaluate_legacy(
-                        spec,
-                        &deployment,
-                        serving,
-                        t,
-                        stale(spec.intra_staleness_ms),
-                        stale(spec.inter_staleness_ms),
-                        &mut a3_monitors,
-                        &mut a4_monitors,
-                        &mut a2_monitor,
-                        &mut a1_monitor,
-                        &mut stage2,
-                        &mut stage2_since_ms,
-                    ),
-                    Plane::Rem => evaluate_rem(
-                        spec,
-                        &deployment,
-                        serving,
-                        t,
-                        stale(rem_staleness),
-                        rem_staleness,
-                        cfg.rem_clamp_offsets,
-                        // Cross-band inputs lost: degrade gracefully to
-                        // directly-measured cells (legacy single-cell
-                        // handover) rather than trusting stale or
-                        // missing estimates.
-                        plan.active(FaultKind::DropFeedback, t).is_some(),
-                        &mut a3_monitors,
-                        &mut est_err,
-                        &mut est_rng,
-                        &mut metrics.rem_fallback_epochs,
-                    ),
-                    }
-                };
-
-                // Legacy stage transitions cost a reconfiguration
-                // message each (A2 -> configure inter-freq, A1 -> tear
-                // down).
-                if stage2 != stage2_before {
-                    metrics.signaling.reconfigs += 1;
+                let Some(cell) = deployment.cell(cell_id) else { continue };
+                if (cell.earfcn == serving_earfcn) != intra {
+                    continue;
                 }
+                let kind = if intra {
+                    EventKind::A3 { offset: spec.a3_offset(serving, cell_id) }
+                } else {
+                    EventKind::A4 { thresh: A4_THRESH_DBM }
+                };
+                let event = EventConfig { kind, ttt_ms, hysteresis_db: 1.0 };
+                if monitors[cell_id.0 as usize].observe(&event, t, serving_dbm, radio.rsrp_dbm)
+                    && best.is_none_or(|(q, _)| radio.rsrp_dbm > q)
+                {
+                    best =
+                        Some((radio.rsrp_dbm, Trigger { target: cell_id, ttt_ms, staleness_ms }));
+                }
+            }
+        }
+        best.map(|(_, trigger)| trigger)
+    }
+}
 
-                if let Some((target, ttt_ms, staleness_ms)) = trigger {
-                    // Run the attempt's message exchanges now; the
-                    // resolution lands after the accumulated airtime.
-                    let (s_snr, carrier) = match (serving_now, serving_cell) {
-                        (Some(sr), Some(sc)) => (sr.snr_db, sc.carrier_hz),
-                        _ => (-30.0, 2e9),
-                    };
-                    // Signaling faults scheduled over this instant. The
-                    // channel is always sampled first so the link RNG
-                    // stream is unchanged by injection.
-                    let feedback_fault = plan.active(FaultKind::DropFeedback, t).map(|f| f.mode);
-                    let command_fault = plan.active(FaultKind::DropCommand, t).map(|f| f.mode);
-                    let x2_fault = plan.active(FaultKind::DropX2, t).is_some();
+/// One plane's half of a replay: everything that depends on the plane.
+struct PlaneState<'c> {
+    cfg: &'c RunConfig,
+    waveform: Waveform,
+    /// Measurement staleness of REM's event evaluation (ms).
+    rem_staleness_ms: f64,
+    /// The `link-<plane>` stream: every signaling message's fading.
+    link_rng: SimRng,
+    /// The `estimation` stream, and per cell REM's cross-band
+    /// estimation error: a slowly-varying AR(1) (the delay-Doppler
+    /// profile drifts on path-geometry timescales, so the error is
+    /// correlated over hundreds of ms).
+    est_rng: SimRng,
+    est_err: Vec<Option<f64>>,
+    monitors: Monitors,
+    state: UeState,
+    /// When the serving SINR fell below `Q_out` (the running RLF timer).
+    below_since: Option<f64>,
+    last_msg_failure: Option<MsgFailure>,
+    /// No events are evaluated before this (post-handover settling).
+    guard_until_ms: f64,
+    /// Serving-link `(t, uplink, downlink)` BLER over the last 5 s,
+    /// kept for Fig 2b.
+    bler_window: VecDeque<(f64, f64, f64)>,
+    plan: FaultPlan,
+    /// X2 endpoint state: one client, so target-side admission control
+    /// is modeled as a single shared pool, released as attempts resolve.
+    ue: UeId,
+    admission: AdmissionControl,
+    rach_preamble: u8,
+    metrics: RunMetrics,
+}
 
-                    let (chan_report_ok, report_tries, _) = deliver_with_harq(
-                        &cfg.link, s_snr, speed, carrier, waveform, HARQ_ATTEMPTS, &mut link_rng,
-                    );
-                    let delayed = matches!(feedback_fault, Some(FaultMode::Delay));
-                    let report_ok = match feedback_fault {
-                        None => chan_report_ok,
-                        // Arrives, but far too late (handled below).
-                        Some(FaultMode::Delay) => chan_report_ok,
-                        Some(FaultMode::Corrupt) => {
-                            // The report arrives garbled; the RRC codec
-                            // gets the final vote and must reject it.
-                            let msg =
-                                RrcMessage::MeasurementReport { cells: vec![(target, s_snr)] };
-                            let mut raw = msg.encode();
-                            rem_faults::corrupt(&mut raw);
-                            chan_report_ok && RrcMessage::decode(&raw).is_some()
-                        }
-                        Some(FaultMode::Drop) => false,
-                    };
-                    if let Some(mode) = feedback_fault {
-                        metrics.injected.push(InjectedFault {
-                            t_ms: t,
-                            kind: FaultKind::DropFeedback,
-                            mode,
-                        });
+impl<'c> PlaneState<'c> {
+    /// A plane over `deployment`, attached to `strongest` (or in a
+    /// coverage-hole outage when no cell is in range).
+    fn new(cfg: &'c RunConfig, deployment: &Deployment, strongest: Option<CellId>) -> Self {
+        let spec = &cfg.spec;
+        let duration_s = spec.duration_s();
+        // Per-cell state lives in dense vectors indexed by cell id
+        // (`generate` numbers cells from 0).
+        let n_cells = deployment.cells().map(|c| c.id.0 as usize + 1).max().unwrap_or(0);
+        let mut plane = Self {
+            cfg,
+            waveform: match cfg.plane {
+                Plane::Legacy => Waveform::Ofdm,
+                Plane::Rem if cfg.ablation.otfs_signaling => Waveform::Otfs,
+                Plane::Rem => Waveform::Ofdm,
+            },
+            // Cross-band ablation: REM falls back to legacy measurement
+            // staleness when it must measure every band sequentially.
+            rem_staleness_ms: if cfg.ablation.crossband_feedback {
+                spec.rem_staleness_ms
+            } else {
+                spec.intra_staleness_ms.max(spec.inter_staleness_ms)
+            },
+            link_rng: child_rng(cfg.seed, &format!("link-{:?}", cfg.plane)),
+            est_rng: child_rng(cfg.seed, "estimation"),
+            est_err: vec![None; n_cells],
+            monitors: Monitors::new(n_cells),
+            state: match strongest {
+                Some(serving) => UeState::Connected { serving },
+                None => UeState::Outage(Outage::scan(0.0, FailureCause::CoverageHole, 0.0)),
+            },
+            below_since: None,
+            last_msg_failure: None,
+            guard_until_ms: 0.0,
+            bler_window: VecDeque::new(),
+            // The fault schedule is a pure function of (seed, client_id)
+            // drawn from its own child_rng streams: it never touches the
+            // simulation RNGs, so campaigns stay bit-identical on any
+            // thread count and an unfaulted run is byte-for-byte the
+            // pre-injection run.
+            plan: match &cfg.faults {
+                Some(fc) => FaultPlan::generate(fc, cfg.seed, cfg.client_id, duration_s * 1e3),
+                None => FaultPlan::empty(),
+            },
+            ue: UeId(cfg.client_id as u32),
+            admission: AdmissionControl::new(8),
+            rach_preamble: 0,
+            metrics: RunMetrics { duration_s, ..Default::default() },
+        };
+        if let Some(cell) = strongest {
+            plane.record(SignalingEvent::Attach { t_ms: 0.0, cell });
+        }
+        plane
+    }
+
+    /// Advances the plane by one epoch of the environment stream.
+    fn step(&mut self, e: &Epoch) {
+        // An injected blackout: no cell receivable for the window. The
+        // environment was still observed, so the `environment` RNG
+        // stream is identical with and without the fault.
+        let forced_hole = self.plan.active(FaultKind::CoverageHole, e.t).is_some();
+        match self.state {
+            UeState::Connected { serving } => self.connected(e, serving, forced_hole),
+            UeState::Attempting(attempt) => self.attempting(e, attempt, forced_hole),
+            UeState::Outage(outage) if e.t >= outage.next_try_ms => {
+                self.reestablish(e, outage, forced_hole)
+            }
+            UeState::Outage(_) => {}
+        }
+    }
+
+    /// One connected epoch: sample the serving link's BLER, run the RLF
+    /// timer, evaluate the measurement events and start a handover
+    /// attempt when one fires.
+    fn connected(&mut self, e: &Epoch, serving: CellId, forced_hole: bool) {
+        let (t, cfg) = (e.t, self.cfg);
+        // The serving link's SINR and carrier, when the cell is heard.
+        let link = radio_of(e.now, serving)
+            .zip(e.deployment.cell(serving))
+            .map(|(r, c)| (r.snr_db, c.carrier_hz));
+
+        // --- BLER window sample (serving link, both directions).
+        if let Some((snr_db, carrier_hz)) = link {
+            let mut bler = || {
+                let sinr = effective_sinr_db(
+                    &cfg.link,
+                    snr_db,
+                    e.speed_ms,
+                    carrier_hz,
+                    self.waveform,
+                    &mut self.link_rng,
+                );
+                bler_estimate(sinr, Modulation::Qpsk)
+            };
+            let (ul, dl) = (bler(), bler());
+            self.bler_window.push_back((t, ul, dl));
+            while self.bler_window.front().is_some_and(|(wt, _, _)| t - wt > 5_000.0) {
+                self.bler_window.pop_front();
+            }
+        }
+
+        if self.radio_link_lost(e, serving, forced_hole) {
+            self.radio_link_failure(e, serving, forced_hole);
+            return;
+        }
+
+        // --- Event evaluation on stale measurements (suppressed during
+        // the post-handover settling guard, during an injected
+        // blackout, and while an injected mask blinds the measurement
+        // pipeline).
+        let masked = self.plan.active(FaultKind::MaskCell, t).is_some();
+        let stage2_before = self.monitors.stage2;
+        let trigger = if t < self.guard_until_ms || forced_hole || masked {
+            None
+        } else {
+            let spec = &cfg.spec;
+            match cfg.plane {
+                Plane::Legacy => self.monitors.legacy(
+                    spec,
+                    e.deployment,
+                    serving,
+                    t,
+                    e.stale(spec.intra_staleness_ms),
+                    e.stale(spec.inter_staleness_ms),
+                ),
+                // Cross-band inputs lost: degrade gracefully to
+                // directly-measured cells (legacy single-cell handover)
+                // rather than trusting stale or missing estimates.
+                Plane::Rem => {
+                    let degraded = self.plan.active(FaultKind::DropFeedback, t).is_some();
+                    let obs = e.stale(self.rem_staleness_ms);
+                    self.evaluate_rem(e.deployment, serving, t, obs, degraded)
+                }
+            }
+        };
+        // Legacy stage transitions cost a reconfiguration message each
+        // (A2 -> configure inter-freq, A1 -> tear down).
+        if self.monitors.stage2 != stage2_before {
+            self.metrics.signaling.reconfigs += 1;
+        }
+        if let Some(trigger) = trigger {
+            self.start_attempt(e, serving, link.unwrap_or((-30.0, 2e9)), trigger);
+        }
+    }
+
+    /// Runs the T310-like timer on the serving SINR (an injected
+    /// blackout reads as no receivable serving signal); true once the
+    /// SINR has stayed below `Q_out` for `RLF_TIMER_MS`.
+    fn radio_link_lost(&mut self, e: &Epoch, serving: CellId, forced_hole: bool) -> bool {
+        let snr_db =
+            if forced_hole { -30.0 } else { radio_of(e.now, serving).map_or(-30.0, |c| c.snr_db) };
+        if snr_db < RLF_SNR_DB {
+            self.below_since.get_or_insert(e.t);
+        } else {
+            self.below_since = None;
+        }
+        self.below_since.is_some_and(|b| e.t - b >= RLF_TIMER_MS)
+    }
+
+    /// Declares radio-link failure on `serving`: classifies it, pairs
+    /// an attributable injected fault with the classification for the
+    /// oracle, keeps the BLER samples that preceded it and starts the
+    /// outage.
+    fn radio_link_failure(&mut self, e: &Epoch, serving: CellId, forced_hole: bool) {
+        let t = e.t;
+        let (cause, fault) = self.classify_rlf(e, serving, forced_hole);
+        if let Some(kind) = fault {
+            if matches!(kind, FaultKind::CoverageHole | FaultKind::MaskCell) {
+                self.inject(t, kind, FaultMode::Drop);
+            }
+            self.metrics.fault_oracle.push(OraclePair {
+                t_ms: t,
+                kind,
+                truth: kind.ground_truth(),
+                classified: cause,
+            });
+        }
+        self.metrics.bler_before_failure_ul.extend(self.bler_window.iter().map(|w| w.1));
+        self.metrics.bler_before_failure_dl.extend(self.bler_window.iter().map(|w| w.2));
+        self.record(SignalingEvent::RadioLinkFailure { t_ms: t, serving, cause });
+        self.state = UeState::Outage(Outage::scan(t, cause, t));
+        self.below_since = None;
+        self.last_msg_failure = None;
+        self.monitors.reset();
+    }
+
+    /// Classifies a radio-link failure per the Table 2 taxonomy and
+    /// names the injected fault it is attributable to, if any. One
+    /// precedence decides both, so the oracle only claims failures the
+    /// classifier reasons about from the same evidence: a genuine
+    /// (deployment) hole pre-empting an injected message fault is
+    /// ambiguous and claimed by neither.
+    fn classify_rlf(
+        &self,
+        e: &Epoch,
+        serving: CellId,
+        forced_hole: bool,
+    ) -> (FailureCause, Option<FaultKind>) {
+        let t = e.t;
+        if forced_hole {
+            return (FailureCause::CoverageHole, Some(FaultKind::CoverageHole));
+        }
+        if e.deployment.in_hole(e.pos_m) {
+            return (FailureCause::CoverageHole, None);
+        }
+        if let Some(f) = self.last_msg_failure.filter(|f| t - f.t_ms <= MSG_FAILURE_ATTRIB_MS) {
+            return (f.cause, f.injected);
+        }
+        // The §3.2 missed-cell condition: a viable cell on another
+        // frequency that legacy stage-1 monitoring never measured.
+        let serving_earfcn = e.deployment.cell(serving).map(|c| c.earfcn);
+        let missed = self.cfg.plane == Plane::Legacy
+            && !self.monitors.stage2
+            && e.now.iter().any(|c| {
+                c.snr_db > 0.0
+                    && e.deployment.cell(c.cell).is_some_and(|cc| Some(cc.earfcn) != serving_earfcn)
+            });
+        if missed {
+            let masked =
+                self.plan.active_within(FaultKind::MaskCell, t, MASK_ATTRIB_SLACK_MS).is_some();
+            return (FailureCause::MissedCell, masked.then_some(FaultKind::MaskCell));
+        }
+        // No in-coverage candidate at all behaves like a hole.
+        if !e.now.iter().any(|c| c.cell != serving && c.snr_db > ATTACH_MIN_SNR_DB) {
+            return (FailureCause::CoverageHole, None);
+        }
+        (FailureCause::FeedbackDelayLoss, None)
+    }
+
+    /// REM event evaluation: single-stage A3 over delay-Doppler SNR for
+    /// *every* cell (cross-band estimation covers other frequencies),
+    /// with Theorem-2-clamped offsets and a short TTT.
+    ///
+    /// Graceful degradation: when the cross-band inputs were dropped
+    /// (`degraded`) or an estimate leaves the Fig 12 confidence
+    /// envelope, the estimated cell is ignored for the epoch and REM
+    /// behaves like a legacy single-cell handover over directly-measured
+    /// cells; `rem_fallback_epochs` counts epochs where that happened.
+    fn evaluate_rem(
+        &mut self,
+        deployment: &Deployment,
+        serving: CellId,
+        t: f64,
+        obs: &[CellRadio],
+        degraded: bool,
+    ) -> Option<Trigger> {
+        // AR(1) error evolution: ~300 ms time constant per 20 ms epoch.
+        const RHO: f64 = 0.935;
+        let cfg = self.cfg;
+        let serving_snr = radio_of(obs, serving).map_or(-30.0, |c| c.snr_db);
+        let serving_site = deployment.site_of(serving).map(|s| s.id);
+
+        let mut best: Option<(f64, CellId)> = None;
+        let mut fell_back = false;
+        // Cells in `CellId` order: the estimation-error draws below are
+        // assigned to cells in this order.
+        for radio in obs {
+            let cell_id = radio.cell;
+            if cell_id == serving {
+                continue;
+            }
+            let Some(site) = deployment.site_of(cell_id) else { continue };
+            // Cross-band estimated cells (not the per-site
+            // representative) carry a small, slowly-varying estimation
+            // error (Fig 12: <= 2 dB for 90% of measurements).
+            let representative =
+                site.cells.iter().map(|c| c.id).min().expect("the site hosts this cell");
+            let estimated = representative != cell_id && Some(site.id) != serving_site;
+            let quality = if estimated {
+                let sigma = cfg.spec.rem_estimation_err_db;
+                // The AR(1) state always evolves — degradation must not
+                // shift the estimation RNG stream.
+                let e = self.est_err[cell_id.0 as usize]
+                    .get_or_insert_with(|| normal(&mut self.est_rng, 0.0, sigma));
+                *e = RHO * *e + (1.0 - RHO * RHO).sqrt() * normal(&mut self.est_rng, 0.0, sigma);
+                if degraded || e.abs() > CONF_LIMIT_DB {
+                    fell_back = true;
+                    continue;
+                }
+                radio.snr_db + *e
+            } else {
+                radio.snr_db
+            };
+            let mut offset = cfg.spec.a3_offset(serving, cell_id);
+            if cfg.rem_clamp_offsets {
+                offset = offset.max(0.0);
+            }
+            let a3 = EventConfig {
+                kind: EventKind::A3 { offset },
+                ttt_ms: REM_TTT_MS,
+                hysteresis_db: 1.0,
+            };
+            if self.monitors.a3[cell_id.0 as usize].observe(&a3, t, serving_snr, quality)
+                && best.is_none_or(|(q, _)| quality > q)
+            {
+                best = Some((quality, cell_id));
+            }
+        }
+        if fell_back {
+            self.metrics.rem_fallback_epochs += 1;
+        }
+        best.map(|(_, target)| Trigger {
+            target,
+            ttt_ms: REM_TTT_MS,
+            staleness_ms: self.rem_staleness_ms,
+        })
+    }
+
+    /// Starts a handover attempt to `trigger.target`: runs its message
+    /// exchanges now (report, X2 preparation, command) over the serving
+    /// link `(SINR, carrier)`; it resolves after their accumulated
+    /// airtime. Injected signaling faults are applied after each
+    /// channel draw, so the link RNG stream is unchanged by injection.
+    fn start_attempt(
+        &mut self,
+        e: &Epoch,
+        serving: CellId,
+        (snr_db, carrier_hz): (f64, f64),
+        trigger: Trigger,
+    ) {
+        let (t, cfg, target, waveform) = (e.t, self.cfg, trigger.target, self.waveform);
+        let feedback_fault = self.plan.active(FaultKind::DropFeedback, t).map(|f| f.mode);
+        let command_fault = self.plan.active(FaultKind::DropCommand, t).map(|f| f.mode);
+        let x2_fault = self.plan.active(FaultKind::DropX2, t).is_some();
+        let deliver = |rng: &mut SimRng| {
+            let (ok, tries, _) = deliver_with_harq(
+                &cfg.link,
+                snr_db,
+                e.speed_ms,
+                carrier_hz,
+                waveform,
+                HARQ_ATTEMPTS,
+                rng,
+            );
+            (ok, tries)
+        };
+
+        let (chan_report_ok, report_tries) = deliver(&mut self.link_rng);
+        // A delayed report arrives, but far too late (handled below).
+        let delayed = feedback_fault == Some(FaultMode::Delay);
+        let report_ok = survives(chan_report_ok, feedback_fault, || {
+            RrcMessage::MeasurementReport { cells: vec![(target, snr_db)] }
+        });
+        if let Some(mode) = feedback_fault {
+            self.inject(t, FaultKind::DropFeedback, mode);
+        }
+        self.metrics.signaling.reports += 1;
+        self.metrics.signaling.harq_transmissions += report_tries;
+        self.record(SignalingEvent::MeasurementReport {
+            t_ms: t,
+            serving,
+            target,
+            delivered: report_ok && !delayed,
+        });
+        let mut sm = HandoverAttempt::trigger(t);
+        let mut elapsed = report_tries as f64 * HARQ_MS;
+        let mut outcome = AttemptOutcome::ReportLost;
+        let mut injected = feedback_fault.map(|_| FaultKind::DropFeedback);
+        let mut prep: Option<HandoverPreparation> = None;
+        if delayed {
+            // The report is in flight well past the T310 deadline;
+            // supervision will kill the attempt.
+            elapsed += cfg.faults.as_ref().map_or(0.0, |f| f.extra_delay_ms);
+        } else if report_ok {
+            sm.report_received(t + elapsed).expect("report follows trigger");
+            elapsed += DECISION_MS;
+            // X2 preparation with the target eNB gates the command
+            // (admission + RACH preamble).
+            let (mut p, req) = HandoverPreparation::start(self.ue, target);
+            self.metrics.signaling.x2_messages += 1;
+            if x2_fault {
+                // Request (or its ack) lost on the backhaul: the serving
+                // cell waits out its preparation guard timer and gives up.
+                elapsed += X2_PREP_TIMEOUT_MS;
+                injected = Some(FaultKind::DropX2);
+                self.inject(t, FaultKind::DropX2, FaultMode::Drop);
+            } else {
+                elapsed += X2_PREP_MS;
+                self.rach_preamble = self.rach_preamble.wrapping_add(1);
+                let resp = target_handle_request(&mut self.admission, &req, self.rach_preamble)
+                    .expect("handover request draws a response");
+                self.metrics.signaling.x2_messages += 1;
+                p.on_response(&resp).expect("response matches the request");
+                // Prepared unless the target denied admission.
+                prep = p.ready_to_command().then_some(p);
+            }
+            outcome = match prep.as_mut() {
+                None => AttemptOutcome::PrepFailed,
+                Some(p) => {
+                    let (chan_cmd_ok, cmd_tries) = deliver(&mut self.link_rng);
+                    let cmd_ok = survives(chan_cmd_ok, command_fault, || {
+                        RrcMessage::HandoverCommand { target }
+                    });
+                    if let Some(mode) = command_fault {
+                        injected = Some(FaultKind::DropCommand);
+                        self.inject(t, FaultKind::DropCommand, mode);
                     }
-                    metrics.signaling.reports += 1;
-                    metrics.signaling.harq_transmissions += report_tries;
-                    if cfg.record_trace {
-                        metrics.trace.push(SignalingEvent::MeasurementReport {
-                            t_ms: t,
-                            serving,
-                            target,
-                            delivered: report_ok && !delayed,
-                        });
-                    }
-                    let mut sm = HandoverAttempt::trigger(t);
-                    let mut elapsed = report_tries as f64 * HARQ_MS;
-                    let mut outcome = AttemptOutcome::ReportLost;
-                    let mut injected = feedback_fault.map(|_| FaultKind::DropFeedback);
-                    let mut prep: Option<HandoverPreparation> = None;
-                    if delayed {
-                        // The report is in flight well past the T310
-                        // deadline; supervision will kill the attempt.
-                        elapsed += extra_delay_ms;
-                    } else if report_ok {
-                        sm.report_received(t + elapsed).expect("report follows trigger");
-                        elapsed += DECISION_MS;
-                        // X2 preparation with the target eNB gates the
-                        // command (admission + RACH preamble).
-                        let (mut p, req) = HandoverPreparation::start(ue, target);
-                        metrics.signaling.x2_messages += 1;
-                        let prep_ok = if x2_fault {
-                            // Request (or its ack) lost on the
-                            // backhaul: the serving cell waits out its
-                            // preparation guard timer and gives up.
-                            elapsed += X2_PREP_TIMEOUT_MS;
-                            injected = Some(FaultKind::DropX2);
-                            metrics.injected.push(InjectedFault {
-                                t_ms: t,
-                                kind: FaultKind::DropX2,
-                                mode: FaultMode::Drop,
-                            });
-                            false
-                        } else {
-                            elapsed += X2_PREP_MS;
-                            rach_preamble = rach_preamble.wrapping_add(1);
-                            let resp = target_handle_request(&mut admission, &req, rach_preamble)
-                                .expect("handover request draws a response");
-                            metrics.signaling.x2_messages += 1;
-                            p.on_response(&resp).expect("response matches the request");
-                            if p.ready_to_command() {
-                                prep = Some(p);
-                                true
-                            } else {
-                                // Admission denied by the target.
-                                false
-                            }
-                        };
-                        if prep_ok {
-                            let (chan_cmd_ok, cmd_tries, _) = deliver_with_harq(
-                                &cfg.link, s_snr, speed, carrier, waveform, HARQ_ATTEMPTS,
-                                &mut link_rng,
-                            );
-                            let cmd_ok = match command_fault {
-                                None => chan_cmd_ok,
-                                Some(FaultMode::Corrupt) => {
-                                    let msg = RrcMessage::HandoverCommand { target };
-                                    let mut raw = msg.encode();
-                                    rem_faults::corrupt(&mut raw);
-                                    chan_cmd_ok && RrcMessage::decode(&raw).is_some()
-                                }
-                                Some(_) => false,
-                            };
-                            if let Some(mode) = command_fault {
-                                injected = Some(FaultKind::DropCommand);
-                                metrics.injected.push(InjectedFault {
-                                    t_ms: t,
-                                    kind: FaultKind::DropCommand,
-                                    mode,
-                                });
-                            }
-                            metrics.signaling.commands += 1;
-                            metrics.signaling.harq_transmissions += cmd_tries;
-                            if cfg.record_trace {
-                                metrics.trace.push(SignalingEvent::HandoverCommand {
-                                    t_ms: t,
-                                    serving,
-                                    target,
-                                    delivered: cmd_ok,
-                                });
-                            }
-                            elapsed += cmd_tries as f64 * HARQ_MS;
-                            if cmd_ok {
-                                sm.command_received(t + elapsed).expect("command follows report");
-                                // The UE obeyed the command: transfer
-                                // PDCP state so the target can resume
-                                // lossless.
-                                if let Some(p) = prep.as_mut() {
-                                    let sn = metrics.signaling.commands as u32;
-                                    p.send_sn_status(sn, sn).expect("prepared before command");
-                                    metrics.signaling.x2_messages += 1;
-                                }
-                                elapsed += ATTACH_MS;
-                                outcome = AttemptOutcome::Success; // target checked at resolve
-                            } else {
-                                outcome = AttemptOutcome::CommandLost;
-                            }
-                        } else {
-                            outcome = AttemptOutcome::PrepFailed;
-                        }
-                    }
-                    let feedback_delay = staleness_ms + ttt_ms + report_tries as f64 * HARQ_MS;
-                    metrics.feedback_delays_ms.push(feedback_delay);
-                    state = UeState::Attempting {
+                    self.metrics.signaling.commands += 1;
+                    self.metrics.signaling.harq_transmissions += cmd_tries;
+                    self.record(SignalingEvent::HandoverCommand {
+                        t_ms: t,
                         serving,
                         target,
-                        resolve_at_ms: t + elapsed,
-                        outcome,
-                        feedback_delay_ms: feedback_delay,
-                        sm,
-                        injected,
-                        prep,
-                    };
-                }
-            }
-
-            UeState::Attempting {
-                serving,
-                target,
-                resolve_at_ms,
-                outcome,
-                feedback_delay_ms,
-                sm,
-                injected,
-                prep,
-            } => {
-                // RLF can still strike mid-attempt.
-                let snr_now = if forced_hole {
-                    -30.0
-                } else {
-                    radio_of(obs, serving).map(|c| c.snr_db).unwrap_or(-30.0)
-                };
-                if snr_now < RLF_SNR_DB {
-                    if below_since.is_none() {
-                        below_since = Some(t);
-                    }
-                } else {
-                    below_since = None;
-                }
-                let rlf = below_since.is_some_and(|b| t - b >= RLF_TIMER_MS);
-
-                // T310/T304 supervision: a silently in-flight message
-                // (the delay-fault manifestation) must not hang the
-                // procedure past its deadline.
-                let expired =
-                    if t < resolve_at_ms && !rlf { cfg.timers.supervise(&sm, t) } else { None };
-
-                if let Some(expiry) = expired {
-                    let cause = expiry.cause();
-                    let mut sm = sm;
-                    sm.fail(t.max(sm.last_event_ms()), cause)
-                        .expect("supervised attempt is non-terminal");
-                    if prep.is_some() {
-                        admission.release();
-                    }
-                    last_msg_failure = Some((t, cause, injected));
-                    state = UeState::Connected { serving };
-                    a3_monitors.fill(EventMonitor::default());
-                    a4_monitors.fill(EventMonitor::default());
-                } else if t >= resolve_at_ms || rlf {
-                    let mut outcome = outcome;
-                    if rlf && outcome == AttemptOutcome::Success && t < resolve_at_ms {
-                        // Lost the link before the procedure finished.
-                        outcome = AttemptOutcome::TargetFaded;
-                    }
-                    // The attempt concludes now; transitions clamp to
-                    // the last recorded procedure event because the
-                    // exchange was pre-computed at trigger time.
-                    let mut sm = sm;
-                    let sm_now = t.max(sm.last_event_ms());
-                    match outcome {
-                        AttemptOutcome::Success => {
-                            let target_ok = !forced_hole
-                                && radio_of(obs, target)
-                                    .is_some_and(|c| c.snr_db >= ATTACH_MIN_SNR_DB);
-                            if target_ok {
-                                sm.complete(sm_now).expect("executing attempt completes");
-                                if let Some(mut p) = prep {
-                                    // UE arrived: the target releases
-                                    // the old serving-side context.
-                                    p.on_response(&X2Message::UeContextRelease { ue })
-                                        .expect("release follows forwarding");
-                                    admission.release();
-                                    metrics.signaling.x2_messages += 1;
-                                }
-                                let from_cell = deployment.cell(serving);
-                                let to_cell = deployment.cell(target);
-                                let intra = match (from_cell, to_cell) {
-                                    (Some(a), Some(b)) => a.earfcn == b.earfcn,
-                                    _ => false,
-                                };
-                                metrics.handovers.push(HandoverRecord {
-                                    t_ms: t,
-                                    from: serving,
-                                    to: target,
-                                    intra_freq: intra,
-                                    feedback_delay_ms,
-                                });
-                                if cfg.record_trace {
-                                    metrics.trace.push(SignalingEvent::HandoverComplete {
-                                        t_ms: t,
-                                        from: serving,
-                                        to: target,
-                                    });
-                                }
-                                state = UeState::Connected { serving: target };
-                                below_since = None;
-                                guard_until_ms = t + POST_HO_GUARD_MS;
-                                reset_monitors(&mut a3_monitors, &mut a4_monitors, &mut a2_monitor, &mut a1_monitor, &mut stage2);
-                            } else {
-                                // Too late: the chosen target already faded.
-                                sm.fail(sm_now, FailureCause::FeedbackDelayLoss)
-                                    .expect("non-terminal attempt fails");
-                                if prep.is_some() {
-                                    admission.release();
-                                }
-                                last_msg_failure =
-                                    Some((t, FailureCause::FeedbackDelayLoss, injected));
-                                state = UeState::Connected { serving };
-                                a3_monitors.fill(EventMonitor::default());
-                                a4_monitors.fill(EventMonitor::default());
-                            }
-                        }
-                        AttemptOutcome::ReportLost | AttemptOutcome::TargetFaded => {
-                            sm.fail(sm_now, FailureCause::FeedbackDelayLoss)
-                                .expect("non-terminal attempt fails");
-                            if prep.is_some() {
-                                admission.release();
-                            }
-                            last_msg_failure =
-                                Some((t, FailureCause::FeedbackDelayLoss, injected));
-                            state = UeState::Connected { serving };
-                            // The UE keeps reporting: clear the latched
-                            // monitors so the trigger can re-fire.
-                            a3_monitors.fill(EventMonitor::default());
-                            a4_monitors.fill(EventMonitor::default());
-                        }
-                        AttemptOutcome::PrepFailed | AttemptOutcome::CommandLost => {
-                            sm.fail(sm_now, FailureCause::CommandLoss)
-                                .expect("non-terminal attempt fails");
-                            if prep.is_some() {
-                                admission.release();
-                            }
-                            last_msg_failure = Some((t, FailureCause::CommandLoss, injected));
-                            state = UeState::Connected { serving };
-                            a3_monitors.fill(EventMonitor::default());
-                            a4_monitors.fill(EventMonitor::default());
-                        }
-                    }
-                }
-            }
-
-            UeState::Outage { since_ms, cause, next_try_ms, attempt } => {
-                if t >= next_try_ms {
-                    let blocked = forced_hole || deployment.in_hole(pos);
-                    let candidate = if blocked {
-                        None
+                        delivered: cmd_ok,
+                    });
+                    elapsed += cmd_tries as f64 * HARQ_MS;
+                    if cmd_ok {
+                        sm.command_received(t + elapsed).expect("command follows report");
+                        // The UE obeyed the command: transfer PDCP state
+                        // so the target can resume lossless.
+                        let sn = self.metrics.signaling.commands as u32;
+                        p.send_sn_status(sn, sn).expect("prepared before command");
+                        self.metrics.signaling.x2_messages += 1;
+                        elapsed += ATTACH_MS;
+                        AttemptOutcome::Success // target checked at resolve
                     } else {
-                        obs_vec.iter().find(|c| c.snr_db >= ATTACH_MIN_SNR_DB)
-                    };
-                    metrics.reestablish_attempts += 1;
-                    let tries = attempt + 1;
-                    if cfg.record_trace {
-                        metrics.trace.push(SignalingEvent::Reestablish {
-                            t_ms: t,
-                            attempt: tries,
-                            success: candidate.is_some(),
-                        });
-                    }
-                    if let Some(best) = candidate {
-                        metrics.failures.push(FailureRecord {
-                            t_ms: since_ms,
-                            cause,
-                            outage_ms: t - since_ms,
-                        });
-                        if cfg.record_trace {
-                            metrics.trace.push(SignalingEvent::Attach { t_ms: t, cell: best.cell });
-                        }
-                        state = UeState::Connected { serving: best.cell };
-                        bler_window.clear();
-                    } else if tries >= cfg.reestablish.max_attempts {
-                        // Retries exhausted: abandon re-establishment
-                        // and restart from a full scan + RRC setup,
-                        // resetting the backoff ladder.
-                        state = UeState::Outage {
-                            since_ms,
-                            cause,
-                            next_try_ms: t + REESTABLISH_SCAN_MS,
-                            attempt: 0,
-                        };
-                    } else {
-                        let backoff = cfg.reestablish.initial_backoff_ms
-                            * cfg.reestablish.backoff_factor.powi(tries as i32 - 1);
-                        state = UeState::Outage {
-                            since_ms,
-                            cause,
-                            next_try_ms: t + backoff,
-                            attempt: tries,
-                        };
+                        AttemptOutcome::CommandLost
                     }
                 }
-            }
+            };
         }
-
-        t += EPOCH_MS;
+        let feedback_delay_ms =
+            trigger.staleness_ms + trigger.ttt_ms + report_tries as f64 * HARQ_MS;
+        self.metrics.feedback_delays_ms.push(feedback_delay_ms);
+        self.state = UeState::Attempting(Attempt {
+            serving,
+            target,
+            resolve_at_ms: t + elapsed,
+            outcome,
+            feedback_delay_ms,
+            sm,
+            injected,
+            prep,
+        });
     }
 
-    // A run ending inside an outage still records the failure.
-    if let UeState::Outage { since_ms, cause, .. } = state {
-        metrics.failures.push(FailureRecord { t_ms: since_ms, cause, outage_ms: duration_ms - since_ms });
+    /// Supervises the in-flight attempt and resolves it when it is due
+    /// or the serving link is lost first.
+    fn attempting(&mut self, e: &Epoch, attempt: Attempt, forced_hole: bool) {
+        let t = e.t;
+        // RLF can still strike mid-attempt.
+        let rlf = self.radio_link_lost(e, attempt.serving, forced_hole);
+        if t < attempt.resolve_at_ms && !rlf {
+            // T310/T304 supervision: a silently in-flight message (the
+            // delay-fault manifestation) must not hang the procedure
+            // past its deadline.
+            if let Some(expiry) = self.cfg.timers.supervise(&attempt.sm, t) {
+                self.fail_attempt(t, &attempt, expiry.cause());
+            }
+            return;
+        }
+        let outcome =
+            if rlf && attempt.outcome == AttemptOutcome::Success && t < attempt.resolve_at_ms {
+                // Lost the link before the procedure finished.
+                AttemptOutcome::TargetFaded
+            } else {
+                attempt.outcome
+            };
+        let cause = match outcome {
+            AttemptOutcome::Success => {
+                let target_ok = !forced_hole
+                    && radio_of(e.now, attempt.target)
+                        .is_some_and(|c| c.snr_db >= ATTACH_MIN_SNR_DB);
+                if target_ok {
+                    self.complete_handover(e, &attempt);
+                    return;
+                }
+                // Too late: the chosen target already faded.
+                FailureCause::FeedbackDelayLoss
+            }
+            AttemptOutcome::ReportLost | AttemptOutcome::TargetFaded => {
+                FailureCause::FeedbackDelayLoss
+            }
+            AttemptOutcome::PrepFailed | AttemptOutcome::CommandLost => FailureCause::CommandLoss,
+        };
+        self.fail_attempt(t, &attempt, cause);
     }
 
-    // Loop semantics: a bounce is a *policy conflict* when the pair's
-    // effective A3 offsets sum below zero (Theorem 2's violated
-    // condition); under REM's clamping that sum is always >= 0.
-    let clamp = cfg.plane == Plane::Rem && cfg.rem_clamp_offsets;
-    metrics.loops = detect_loops(&metrics.handovers, LOOP_WINDOW_MS, HO_DISRUPTION_MS, |a, b| {
-        let mut fwd = spec.a3_offset(a, b);
-        let mut back = spec.a3_offset(b, a);
-        if clamp {
-            fwd = fwd.max(0.0);
-            back = back.max(0.0);
+    /// The UE arrived at the target: the handover completes.
+    fn complete_handover(&mut self, e: &Epoch, attempt: &Attempt) {
+        let t = e.t;
+        // Transitions clamp to the last recorded procedure event because
+        // the exchange was pre-computed at trigger time.
+        let mut sm = attempt.sm;
+        sm.complete(t.max(sm.last_event_ms())).expect("executing attempt completes");
+        if let Some(mut p) = attempt.prep {
+            // The target releases the old serving-side context.
+            p.on_response(&X2Message::UeContextRelease { ue: self.ue })
+                .expect("release follows forwarding");
+            self.admission.release();
+            self.metrics.signaling.x2_messages += 1;
         }
-        fwd + back < 0.0
-    });
+        let (from, to) = (attempt.serving, attempt.target);
+        let intra_freq = match (e.deployment.cell(from), e.deployment.cell(to)) {
+            (Some(a), Some(b)) => a.earfcn == b.earfcn,
+            _ => false,
+        };
+        self.metrics.handovers.push(HandoverRecord {
+            t_ms: t,
+            from,
+            to,
+            intra_freq,
+            feedback_delay_ms: attempt.feedback_delay_ms,
+        });
+        self.record(SignalingEvent::HandoverComplete { t_ms: t, from, to });
+        self.state = UeState::Connected { serving: to };
+        self.below_since = None;
+        self.guard_until_ms = t + POST_HO_GUARD_MS;
+        self.monitors.reset();
+    }
 
-    rem_obs::metrics::inc("rem_sim_runs_total");
-    rem_obs::metrics::add("rem_sim_handovers_total", metrics.handovers.len() as u64);
-    rem_obs::metrics::add("rem_sim_failures_total", metrics.failures.len() as u64);
-    rem_obs::metrics::add(
-        "rem_sim_reestablish_attempts_total",
-        metrics.reestablish_attempts as u64,
-    );
-    rem_obs::trace::emit(
-        "sim",
-        "run_done",
-        &[
-            ("plane", format!("{:?}", cfg.plane).into()),
-            ("seed", cfg.seed.into()),
-            ("handovers", metrics.handovers.len().into()),
-            ("failures", metrics.failures.len().into()),
-            ("loops", metrics.loops.len().into()),
-        ],
-    );
-    metrics
+    /// Ends the in-flight attempt as failed with `cause`: the target's
+    /// admission is released, the failure is latched for RLF
+    /// classification, and the UE stays on its serving cell and keeps
+    /// reporting, with every candidate's trigger cleared to re-fire.
+    fn fail_attempt(&mut self, t: f64, attempt: &Attempt, cause: FailureCause) {
+        let mut sm = attempt.sm;
+        sm.fail(t.max(sm.last_event_ms()), cause).expect("an in-flight attempt fails");
+        if attempt.prep.is_some() {
+            self.admission.release();
+        }
+        self.last_msg_failure = Some(MsgFailure { t_ms: t, cause, injected: attempt.injected });
+        self.state = UeState::Connected { serving: attempt.serving };
+        self.monitors.clear_candidates();
+    }
+
+    /// One RRC re-establishment try, due now: attach to the strongest
+    /// admissible cell, or back off (and after `max_attempts` tries
+    /// restart from a full scan).
+    fn reestablish(&mut self, e: &Epoch, outage: Outage, forced_hole: bool) {
+        let t = e.t;
+        let blocked = forced_hole || e.deployment.in_hole(e.pos_m);
+        let candidate =
+            if blocked { None } else { e.by_rsrp.iter().find(|c| c.snr_db >= ATTACH_MIN_SNR_DB) };
+        self.metrics.reestablish_attempts += 1;
+        let tries = outage.attempt + 1;
+        self.record(SignalingEvent::Reestablish {
+            t_ms: t,
+            attempt: tries,
+            success: candidate.is_some(),
+        });
+        let retry = self.cfg.reestablish;
+        self.state = if let Some(best) = candidate {
+            self.metrics.failures.push(FailureRecord {
+                t_ms: outage.since_ms,
+                cause: outage.cause,
+                outage_ms: t - outage.since_ms,
+            });
+            self.record(SignalingEvent::Attach { t_ms: t, cell: best.cell });
+            self.bler_window.clear();
+            UeState::Connected { serving: best.cell }
+        } else if tries >= retry.max_attempts {
+            // Retries exhausted: abandon re-establishment and restart
+            // from a full scan + RRC setup, resetting the backoff ladder.
+            UeState::Outage(Outage::scan(outage.since_ms, outage.cause, t))
+        } else {
+            let backoff = retry.initial_backoff_ms * retry.backoff_factor.powi(tries as i32 - 1);
+            UeState::Outage(Outage { next_try_ms: t + backoff, attempt: tries, ..outage })
+        };
+    }
+
+    /// Records an injected fault that bit the run.
+    fn inject(&mut self, t_ms: f64, kind: FaultKind, mode: FaultMode) {
+        self.metrics.injected.push(InjectedFault { t_ms, kind, mode });
+    }
+
+    /// Appends `event` to the signaling trace when the run records one.
+    fn record(&mut self, event: SignalingEvent) {
+        if self.cfg.record_trace {
+            self.metrics.trace.push(event);
+        }
+    }
+
+    /// Closes the run: an open outage becomes a failure, loops are
+    /// detected, and the run is counted.
+    fn finish(mut self) -> RunMetrics {
+        let cfg = self.cfg;
+        let m = &mut self.metrics;
+        // A run ending inside an outage still records the failure.
+        if let UeState::Outage(outage) = self.state {
+            let outage_ms = m.duration_s * 1e3 - outage.since_ms;
+            m.failures.push(FailureRecord {
+                t_ms: outage.since_ms,
+                cause: outage.cause,
+                outage_ms,
+            });
+        }
+
+        // Loop semantics: a bounce is a *policy conflict* when the
+        // pair's effective A3 offsets sum below zero (Theorem 2's
+        // violated condition); under REM's clamping that sum is always
+        // >= 0.
+        let clamp = cfg.plane == Plane::Rem && cfg.rem_clamp_offsets;
+        m.loops = detect_loops(&m.handovers, LOOP_WINDOW_MS, HO_DISRUPTION_MS, |a, b| {
+            let mut fwd = cfg.spec.a3_offset(a, b);
+            let mut back = cfg.spec.a3_offset(b, a);
+            if clamp {
+                fwd = fwd.max(0.0);
+                back = back.max(0.0);
+            }
+            fwd + back < 0.0
+        });
+
+        rem_obs::metrics::inc("rem_sim_runs_total");
+        rem_obs::metrics::add("rem_sim_handovers_total", m.handovers.len() as u64);
+        rem_obs::metrics::add("rem_sim_failures_total", m.failures.len() as u64);
+        rem_obs::metrics::add("rem_sim_reestablish_attempts_total", m.reestablish_attempts as u64);
+        rem_obs::trace::emit(
+            "sim",
+            "run_done",
+            &[
+                ("plane", format!("{:?}", cfg.plane).into()),
+                ("seed", cfg.seed.into()),
+                ("handovers", m.handovers.len().into()),
+                ("failures", m.failures.len().into()),
+                ("loops", m.loops.len().into()),
+            ],
+        );
+        self.metrics
+    }
 }
 
 /// The radio state of `cell` in an observation sorted by `CellId`.
@@ -898,284 +1169,21 @@ fn radio_of(obs: &[CellRadio], cell: CellId) -> Option<&CellRadio> {
     obs.binary_search_by_key(&cell, |c| c.cell).ok().map(|i| &obs[i])
 }
 
-fn reset_monitors(
-    a3: &mut [EventMonitor],
-    a4: &mut [EventMonitor],
-    a2: &mut EventMonitor,
-    a1: &mut EventMonitor,
-    stage2: &mut bool,
-) {
-    a3.fill(EventMonitor::default());
-    a4.fill(EventMonitor::default());
-    a2.reset();
-    a1.reset();
-    *stage2 = false;
-}
-
-/// Whether a viable cell existed on another frequency that legacy
-/// stage-1 monitoring never measured (the §3.2 missed-cell condition).
-/// Shared by the classifier and the oracle attribution so both reason
-/// from the same evidence.
-fn missed_cell_possible(
-    deployment: &Deployment,
-    obs: &[CellRadio],
-    serving: CellId,
-    stage2: bool,
-    plane: Plane,
-) -> bool {
-    if plane != Plane::Legacy || stage2 {
-        return false;
-    }
-    let serving_earfcn = deployment.cell(serving).map(|c| c.earfcn);
-    obs.iter().any(|c| {
-        c.snr_db > 0.0
-            && deployment.cell(c.cell).map(|cc| Some(cc.earfcn) != serving_earfcn).unwrap_or(false)
-    })
-}
-
-/// Classifies a radio-link failure per the Table 2 taxonomy.
-#[allow(clippy::too_many_arguments)]
-fn classify_rlf(
-    deployment: &Deployment,
-    pos_m: f64,
-    obs: &[CellRadio],
-    serving: CellId,
-    forced_hole: bool,
-    missed_possible: bool,
-    now_ms: f64,
-    last_msg_failure: Option<(f64, FailureCause, Option<FaultKind>)>,
-) -> FailureCause {
-    if forced_hole || deployment.in_hole(pos_m) {
-        return FailureCause::CoverageHole;
-    }
-    if let Some((ft, cause, _)) = last_msg_failure {
-        if now_ms - ft <= 5_000.0 {
-            return cause;
+/// Whether a message the channel delivered (`chan_ok`) survives an
+/// injected fault: a dropped message is lost, a corrupted one arrives
+/// garbled and the RRC codec gets the final vote, and a delayed one
+/// arrives late (only measurement reports are ever delayed; the caller
+/// charges the delay).
+fn survives(chan_ok: bool, fault: Option<FaultMode>, msg: impl FnOnce() -> RrcMessage) -> bool {
+    match fault {
+        None | Some(FaultMode::Delay) => chan_ok,
+        Some(FaultMode::Drop) => false,
+        Some(FaultMode::Corrupt) => {
+            let mut raw = msg().encode();
+            rem_faults::corrupt(&mut raw);
+            chan_ok && RrcMessage::decode(&raw).is_some()
         }
     }
-    if missed_possible {
-        return FailureCause::MissedCell;
-    }
-    // No in-coverage candidate at all behaves like a hole.
-    if !obs.iter().any(|c| c.cell != serving && c.snr_db > ATTACH_MIN_SNR_DB) {
-        return FailureCause::CoverageHole;
-    }
-    FailureCause::FeedbackDelayLoss
-}
-
-/// Decides which injected fault (if any) a just-classified failure is
-/// attributable to. Mirrors [`classify_rlf`]'s precedence exactly so
-/// the oracle only claims failures the classifier reasons about from
-/// the same evidence: a genuine (deployment) hole pre-empting an
-/// injected message fault is ambiguous and claimed by neither.
-fn attribute_failure(
-    plan: &FaultPlan,
-    forced_hole: bool,
-    genuine_hole: bool,
-    last_msg_failure: Option<(f64, FailureCause, Option<FaultKind>)>,
-    missed_possible: bool,
-    now_ms: f64,
-) -> Option<FaultKind> {
-    if forced_hole {
-        return Some(FaultKind::CoverageHole);
-    }
-    if genuine_hole {
-        return None;
-    }
-    if let Some((ft, _, injected)) = last_msg_failure {
-        if now_ms - ft <= 5_000.0 {
-            return injected;
-        }
-    }
-    if missed_possible
-        && plan.active_within(FaultKind::MaskCell, now_ms, MASK_ATTRIB_SLACK_MS).is_some()
-    {
-        return Some(FaultKind::MaskCell);
-    }
-    None
-}
-
-/// Legacy event evaluation: intra-frequency A3 per neighbour, A2/A1
-/// gated stage 2 with A4 per inter-frequency neighbour. Returns the
-/// chosen `(target, ttt, staleness)` when a handover fires.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_legacy(
-    spec: &DatasetSpec,
-    deployment: &Deployment,
-    serving: CellId,
-    t: f64,
-    intra_obs: &[CellRadio],
-    inter_obs: &[CellRadio],
-    a3_monitors: &mut [EventMonitor],
-    a4_monitors: &mut [EventMonitor],
-    a2_monitor: &mut EventMonitor,
-    a1_monitor: &mut EventMonitor,
-    stage2: &mut bool,
-    stage2_since_ms: &mut f64,
-) -> Option<(CellId, f64, f64)> {
-    let serving_earfcn = deployment.cell(serving)?.earfcn;
-    let serving_rsrp_intra = radio_of(intra_obs, serving).map(|c| c.rsrp_dbm).unwrap_or(-140.0);
-    let serving_rsrp_inter = radio_of(inter_obs, serving).map(|c| c.rsrp_dbm).unwrap_or(-140.0);
-
-    // Stage gates on (stale) serving RSRP.
-    if !*stage2 {
-        let a2 = EventConfig {
-            kind: EventKind::A2 { thresh: A2_THRESH_DBM },
-            ttt_ms: spec.inter_ttt_ms,
-            hysteresis_db: 1.0,
-        };
-        if a2_monitor.observe(&a2, t, serving_rsrp_inter, 0.0) {
-            *stage2 = true;
-            *stage2_since_ms = t;
-            a1_monitor.reset();
-        }
-    } else {
-        let a1 = EventConfig {
-            kind: EventKind::A1 { thresh: A1_THRESH_DBM },
-            ttt_ms: spec.inter_ttt_ms,
-            hysteresis_db: 1.0,
-        };
-        if a1_monitor.observe(&a1, t, serving_rsrp_inter, 0.0) {
-            *stage2 = false;
-            a4_monitors.fill(EventMonitor::default());
-            a2_monitor.reset();
-        }
-    }
-
-    let mut best: Option<(f64, CellId, f64, f64)> = None; // (quality, cell, ttt, staleness)
-
-    // Intra-frequency A3.
-    for radio in intra_obs {
-        let cell_id = radio.cell;
-        if cell_id == serving {
-            continue;
-        }
-        let Some(cell) = deployment.cell(cell_id) else { continue };
-        if cell.earfcn != serving_earfcn {
-            continue;
-        }
-        let a3 = EventConfig {
-            kind: EventKind::A3 { offset: spec.a3_offset(serving, cell_id) },
-            ttt_ms: spec.intra_ttt_ms,
-            hysteresis_db: 1.0,
-        };
-        let mon = &mut a3_monitors[cell_id.0 as usize];
-        if mon.observe(&a3, t, serving_rsrp_intra, radio.rsrp_dbm)
-            && best.is_none_or(|(q, _, _, _)| radio.rsrp_dbm > q)
-        {
-            best = Some((radio.rsrp_dbm, cell_id, spec.intra_ttt_ms, spec.intra_staleness_ms));
-        }
-    }
-
-    // Inter-frequency A4, stage 2 only (the §3.2 missed-cell mechanism:
-    // these cells are simply invisible until the A2 gate opens).
-    if *stage2 {
-        for radio in inter_obs {
-            let cell_id = radio.cell;
-            if cell_id == serving {
-                continue;
-            }
-            let Some(cell) = deployment.cell(cell_id) else { continue };
-            if cell.earfcn == serving_earfcn {
-                continue;
-            }
-            let a4 = EventConfig {
-                kind: EventKind::A4 { thresh: A4_THRESH_DBM },
-                ttt_ms: spec.inter_ttt_ms,
-                hysteresis_db: 1.0,
-            };
-            let mon = &mut a4_monitors[cell_id.0 as usize];
-            if mon.observe(&a4, t, serving_rsrp_inter, radio.rsrp_dbm)
-                && best.is_none_or(|(q, _, _, _)| radio.rsrp_dbm > q)
-            {
-                best = Some((radio.rsrp_dbm, cell_id, spec.inter_ttt_ms, spec.inter_staleness_ms));
-            }
-        }
-    }
-
-    best.map(|(_, cell, ttt, stale)| (cell, ttt, stale))
-}
-
-/// REM event evaluation: single-stage A3 over delay-Doppler SNR for
-/// *every* cell (cross-band estimation covers other frequencies), with
-/// Theorem-2-clamped offsets and a short TTT.
-///
-/// Graceful degradation: when the cross-band inputs were dropped
-/// (`degraded`) or an estimate leaves the Fig 12 confidence envelope,
-/// the estimated cell is ignored for the epoch and REM behaves like a
-/// legacy single-cell handover over directly-measured cells;
-/// `fallback_epochs` counts epochs where that happened.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_rem(
-    spec: &DatasetSpec,
-    deployment: &Deployment,
-    serving: CellId,
-    t: f64,
-    obs: &[CellRadio],
-    staleness_ms: f64,
-    clamp_offsets: bool,
-    degraded: bool,
-    a3_monitors: &mut [EventMonitor],
-    est_err: &mut [Option<f64>],
-    est_rng: &mut SimRng,
-    fallback_epochs: &mut usize,
-) -> Option<(CellId, f64, f64)> {
-    let serving_snr = radio_of(obs, serving).map(|c| c.snr_db).unwrap_or(-30.0);
-    let serving_site = deployment.site_of(serving).map(|s| s.id);
-    let rem_ttt = 40.0;
-    // AR(1) error evolution: ~300 ms time constant per 20 ms epoch.
-    const RHO: f64 = 0.935;
-
-    let mut best: Option<(f64, CellId)> = None;
-    let mut fell_back = false;
-    // Cells in `CellId` order: the estimation-error draws below are
-    // assigned to cells in this order.
-    for radio in obs {
-        let cell_id = radio.cell;
-        if cell_id == serving {
-            continue;
-        }
-        let Some(site) = deployment.site_of(cell_id) else { continue };
-        // Cross-band estimated cells (not the per-site representative)
-        // carry a small, slowly-varying estimation error (Fig 12:
-        // <= 2 dB for 90% of measurements).
-        let representative =
-            site.cells.iter().map(|c| c.id).min().expect("the site hosts this cell");
-        let estimated = representative != cell_id && Some(site.id) != serving_site;
-        let quality = if estimated {
-            let sigma = spec.rem_estimation_err_db;
-            // The AR(1) state always evolves — degradation must not
-            // shift the estimation RNG stream.
-            let e = est_err[cell_id.0 as usize].get_or_insert_with(|| normal(est_rng, 0.0, sigma));
-            *e = RHO * *e + (1.0 - RHO * RHO).sqrt() * normal(est_rng, 0.0, sigma);
-            if degraded || e.abs() > CONF_LIMIT_DB {
-                fell_back = true;
-                continue;
-            }
-            radio.snr_db + *e
-        } else {
-            radio.snr_db
-        };
-        let mut offset = spec.a3_offset(serving, cell_id);
-        if clamp_offsets {
-            offset = offset.max(0.0);
-        }
-        let a3 = EventConfig {
-            kind: EventKind::A3 { offset },
-            ttt_ms: rem_ttt,
-            hysteresis_db: 1.0,
-        };
-        let mon = &mut a3_monitors[cell_id.0 as usize];
-        if mon.observe(&a3, t, serving_snr, quality)
-            && best.is_none_or(|(q, _)| quality > q)
-        {
-            best = Some((quality, cell_id));
-        }
-    }
-    if fell_back {
-        *fallback_epochs += 1;
-    }
-    best.map(|(_, cell)| (cell, rem_ttt, staleness_ms))
 }
 
 #[cfg(test)]
@@ -1262,12 +1270,7 @@ mod tests {
     struct Legacy {
         spec: DatasetSpec,
         deployment: Deployment,
-        a3: [EventMonitor; 6],
-        a4: [EventMonitor; 6],
-        a2: EventMonitor,
-        a1: EventMonitor,
-        stage2: bool,
-        stage2_since_ms: f64,
+        monitors: Monitors,
     }
 
     impl Legacy {
@@ -1297,12 +1300,7 @@ mod tests {
                     ..quick_spec(300.0)
                 },
                 deployment: Deployment { sites, holes: vec![], route_m: 2e3 },
-                a3: [EventMonitor::default(); 6],
-                a4: [EventMonitor::default(); 6],
-                a2: EventMonitor::default(),
-                a1: EventMonitor::default(),
-                stage2: false,
-                stage2_since_ms: 0.0,
+                monitors: Monitors::new(6),
             }
         }
 
@@ -1320,24 +1318,12 @@ mod tests {
                 .map(|(c, rsrp_dbm)| CellRadio { cell: CellId(c), rsrp_dbm, snr_db: 0.0 })
                 .collect();
             obs.sort_by_key(|c| c.cell);
-            let Legacy { spec, deployment, a3, a4, a2, a1, stage2, stage2_since_ms } = self;
+            let Legacy { spec, deployment, monitors } = self;
             ms.step_by(20)
                 .filter_map(|t| {
-                    let found = evaluate_legacy(
-                        spec,
-                        deployment,
-                        CellId(0),
-                        f64::from(t),
-                        &obs,
-                        &obs,
-                        a3,
-                        a4,
-                        a2,
-                        a1,
-                        stage2,
-                        stage2_since_ms,
-                    );
-                    found.map(|(target, _, _)| (t, target))
+                    let found =
+                        monitors.legacy(spec, deployment, CellId(0), f64::from(t), &obs, &obs);
+                    found.map(|trigger| (t, trigger.target))
                 })
                 .collect()
         }
@@ -1350,7 +1336,7 @@ mod tests {
         assert_eq!(l.run(0..=40, -100.0, &[(2, -98.0)]), []);
         // Past it, the zero-TTT A3 hands over on the same epoch.
         assert_eq!(l.run(60..=60, -100.0, &[(2, -95.0)]), [(60, CellId(2))]);
-        assert!(!l.stage2);
+        assert!(!l.monitors.stage2);
     }
 
     #[test]
@@ -1360,7 +1346,7 @@ mod tests {
         // never admits the 20 dB stronger cell on the other carrier.
         let mut l = Legacy::new(0.0, 0.0);
         assert_eq!(l.run(0..=200, -100.0, &[(1, -80.0)]), []);
-        assert!(!l.stage2);
+        assert!(!l.monitors.stage2);
     }
 
     #[test]
@@ -1372,10 +1358,10 @@ mod tests {
         // Serving below A2 (-112 dB, 1 dB hysteresis) from 20 ms: the
         // gate holds its 100 ms TTT before stage 2 opens on 120 ms.
         assert_eq!(l.run(20..=100, -115.0, &[(1, -80.0)]), []);
-        assert!(!l.stage2);
-        assert_eq!(l.run(120..=200, -115.0, &[(1, -80.0)]), []);
-        assert!(l.stage2);
-        assert_eq!(l.stage2_since_ms, 120.0);
+        assert!(!l.monitors.stage2);
+        assert_eq!(l.run(120..=120, -115.0, &[(1, -80.0)]), []);
+        assert!(l.monitors.stage2);
+        assert_eq!(l.run(140..=200, -115.0, &[(1, -80.0)]), []);
         // A4 started its own 100 ms TTT when the gate opened.
         assert_eq!(l.run(220..=220, -115.0, &[(1, -80.0)]), [(220, CellId(1))]);
     }
@@ -1384,21 +1370,21 @@ mod tests {
     fn a1_exit_closes_stage2() {
         let mut l = Legacy::new(0.0, 100.0);
         assert_eq!(l.run(0..=100, -115.0, &[(1, -120.0)]), []);
-        assert!(l.stage2);
+        assert!(l.monitors.stage2);
         // Serving recovers above A1 (-100 dB) on 120 ms; cell 1 passes
         // A4 (-110 dB) from 140 ms, so A1 fires first, on 220 ms.
         assert_eq!(l.run(120..=120, -95.0, &[(1, -120.0)]), []);
         assert_eq!(l.run(140..=220, -95.0, &[(1, -105.0)]), []);
-        assert!(!l.stage2);
+        assert!(!l.monitors.stage2);
         // Serving falls again: the gate reopens on 340 ms, and cell 1's
         // A4 starts over there instead of firing on its 140 ms entry.
         assert_eq!(l.run(240..=340, -115.0, &[(1, -105.0)]), []);
-        assert!(l.stage2);
+        assert!(l.monitors.stage2);
         // Serving recovers at once: A1 starts over on 360 ms too.
         assert_eq!(l.run(360..=440, -95.0, &[(1, -105.0)]), [(440, CellId(1))]);
-        assert!(l.stage2);
+        assert!(l.monitors.stage2);
         assert_eq!(l.run(460..=460, -95.0, &[(1, -105.0)]), []);
-        assert!(!l.stage2);
+        assert!(!l.monitors.stage2);
     }
 
     #[test]
@@ -1432,14 +1418,14 @@ mod tests {
     fn reset_returns_to_stage1() {
         let mut l = Legacy::new(0.0, 100.0);
         assert_eq!(l.run(0..=100, -115.0, &[]), []);
-        assert!(l.stage2);
-        reset_monitors(&mut l.a3, &mut l.a4, &mut l.a2, &mut l.a1, &mut l.stage2);
-        assert!(!l.stage2);
+        assert!(l.monitors.stage2);
+        l.monitors.reset();
+        assert!(!l.monitors.stage2);
         // The gate holds its full TTT again.
         assert_eq!(l.run(120..=200, -115.0, &[]), []);
-        assert!(!l.stage2);
+        assert!(!l.monitors.stage2);
         assert_eq!(l.run(220..=220, -115.0, &[]), []);
-        assert!(l.stage2);
+        assert!(l.monitors.stage2);
     }
 
     #[test]
@@ -1447,32 +1433,16 @@ mod tests {
         // REM's single-stage A3 runs over every cell: cell 1 shares the
         // serving site on the other carrier (measured, not estimated).
         let l = Legacy::new(0.0, 0.0);
+        let cfg = RunConfig::new(l.spec.clone(), Plane::Rem, 1);
+        let mut plane = PlaneState::new(&cfg, &l.deployment, Some(CellId(0)));
         let radio = |c, snr_db| CellRadio { cell: CellId(c), rsrp_dbm: -100.0, snr_db };
         let obs = [radio(0, 0.0), radio(1, 10.0)];
-        let (mut a3, mut est_err, mut fallback) = ([EventMonitor::default(); 6], [None; 6], 0);
-        let mut rng = child_rng(1, "est");
         let fired: Vec<f64> = [0.0, 20.0, 40.0]
             .into_iter()
-            .filter(|&t| {
-                let found = evaluate_rem(
-                    &l.spec,
-                    &l.deployment,
-                    CellId(0),
-                    t,
-                    &obs,
-                    40.0,
-                    true,
-                    false,
-                    &mut a3,
-                    &mut est_err,
-                    &mut rng,
-                    &mut fallback,
-                );
-                found.is_some()
-            })
+            .filter(|&t| plane.evaluate_rem(&l.deployment, CellId(0), t, &obs, false).is_some())
             .collect();
         // REM's 40 ms TTT, with no A2 gate and no measurement gap.
-        assert_eq!((fired, fallback), (vec![40.0], 0));
+        assert_eq!((fired, plane.metrics.rem_fallback_epochs), (vec![40.0], 0));
     }
 }
 

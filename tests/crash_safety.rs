@@ -5,7 +5,10 @@
 
 use std::path::PathBuf;
 
-use rem_core::{fnv1a64, CampaignSpec, Comparison, DatasetSpec, ExperimentError, RunPolicy};
+use rem_core::study::from_checkpoint;
+use rem_core::{
+    fnv1a64, run_study, CampaignSpec, Comparison, DatasetSpec, ExperimentError, RunPolicy,
+};
 use rem_exec::{par_map, par_map_checked, CheckedPolicy, TrialOutcome};
 use rem_faults::ChaosConfig;
 use rem_integration::check;
@@ -118,12 +121,13 @@ fn killed_campaign_resumes_bit_identical_at_any_thread_count(
             ckpt.save(&path)?;
 
             let resume_policy = RunPolicy { threads: resume_threads, ..policy.clone() };
-            let (resumed_campaign, resumed) = CampaignSpec::resume(&path, &resume_policy)?;
+            let resumed_campaign: CampaignSpec = from_checkpoint(&path, resume_threads)?;
+            let resumed = run_study(&resumed_campaign, &resume_policy, Some(&path), |_, _| {})?;
             assert_eq!(resumed_campaign.seeds, campaign.seeds);
             assert_eq!(resumed.resumed_trials, kill_after);
             assert_eq!(resumed.completed_trials, total);
             assert_eq!(
-                hash_of(&resumed.comparison),
+                hash_of(&resumed.value),
                 reference_hash,
                 "kill_after={kill_after} resume_threads={resume_threads}"
             );
@@ -144,7 +148,7 @@ fn quarantine_then_resume_completes_the_campaign() -> Result<(), Box<dyn std::er
 
     // First run: trial 2 dies on every attempt and is quarantined.
     let policy = RunPolicy { checkpoint_every: 1, ..RunPolicy::default() };
-    let checked = Comparison::run_checkpointed_with(&campaign, &policy, Some(&path), |i, _a| {
+    let checked = run_study(&campaign, &policy, Some(&path), |i, _a| {
         if i == 2 {
             panic!("persistent fault in trial 2");
         }
@@ -157,10 +161,11 @@ fn quarantine_then_resume_completes_the_campaign() -> Result<(), Box<dyn std::er
     ));
 
     // The fault clears (hook gone); resume re-runs exactly trial 2.
-    let (_, resumed) = CampaignSpec::resume(&path, &policy)?;
+    let rebuilt: CampaignSpec = from_checkpoint(&path, policy.threads)?;
+    let resumed = run_study(&rebuilt, &policy, Some(&path), |_, _| {})?;
     assert!(resumed.is_clean());
     assert_eq!(resumed.completed_trials, resumed.total_trials);
-    assert_eq!(hash_of(&resumed.comparison), reference_hash);
+    assert_eq!(hash_of(&resumed.value), reference_hash);
     std::fs::remove_file(&path)?;
     Ok(())
 }
@@ -201,11 +206,9 @@ fn chaos_campaign_hash_equals_calm_campaign_hash() -> Result<(), Box<dyn std::er
 
     let chaos = ChaosConfig::transient(7, 1.0); // every trial panics once
     let policy = RunPolicy { threads: 2, max_retries: 2, ..RunPolicy::default() };
-    let checked = Comparison::run_checkpointed_with(&campaign, &policy, None, |i, a| {
-        chaos.maybe_panic(i, a)
-    })?;
+    let checked = run_study(&campaign, &policy, None, |i, a| chaos.maybe_panic(i, a))?;
     assert!(checked.is_clean());
     assert_eq!(checked.retries as usize, 2 * campaign.seeds.len());
-    assert_eq!(hash_of(&checked.comparison), calm_hash);
+    assert_eq!(hash_of(&checked.value), calm_hash);
     Ok(())
 }

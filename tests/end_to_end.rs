@@ -1,7 +1,11 @@
 //! End-to-end integration: a full paired campaign across planes, with
 //! the headline claims of the paper asserted on the outputs.
 
-use rem_core::{CampaignSpec, Comparison, DatasetSpec};
+use rem_core::rem_num::hash::fnv1a64_digest;
+use rem_core::{
+    run_study, simulate_run, study, CampaignSpec, Comparison, DatasetSpec, FaultConfig, FaultKind,
+    Plane, RunConfig, RunMetrics, ScenarioSpec,
+};
 
 fn run(spec: DatasetSpec, seeds: &[u64]) -> Comparison {
     Comparison::run(&CampaignSpec::new(spec).with_seeds(seeds))
@@ -63,4 +67,52 @@ fn failure_ratios_grow_with_speed_for_legacy() {
         fast.legacy.failure_ratio(),
         slow.legacy.failure_ratio()
     );
+}
+
+/// The HSR scenario's replay digests (`rem compare --scenario
+/// scenarios/hsr_beijing_shanghai.toml --seeds 4 --threads 2 --hash`
+/// prints the first): every compare trial runs through `simulate_run`,
+/// so a change to the epoch loop that moves a draw or a transition
+/// moves one of these.
+#[test]
+fn hsr_replay_digests_are_pinned() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/hsr_beijing_shanghai.toml");
+    let src = std::fs::read_to_string(path).expect("read the HSR scenario");
+    let mut scenario = ScenarioSpec::from_toml(&src).expect("the HSR scenario parses");
+    scenario.run.seeds = (1..=4).collect();
+    scenario.run.threads = 2;
+    scenario.validate().expect("the HSR scenario validates");
+    let campaign = scenario.campaign();
+    let cmp = run_study(&campaign, &scenario.run_policy(), None, |_, _| {}).expect("runs").value;
+    assert_eq!(study::digest(&campaign, &cmp).unwrap(), "fnv1a64:f61dbedc3dd8cb86");
+    assert_eq!(digest_of(&cmp.legacy), "fnv1a64:b705cf8939fcadb3");
+}
+
+/// One aggressively faulted, traced run per plane: the fault, attempt,
+/// RLF and re-establishment transitions all fire, and their metrics
+/// and signaling traces are pinned. The route is long enough for every
+/// fault kind to bite the legacy run; a masking window only ever causes
+/// a legacy failure (REM measures every carrier, so it misses no cell).
+#[test]
+fn faulted_traced_runs_are_pinned() {
+    for (plane, want) in
+        [(Plane::Legacy, "fnv1a64:56f1e9ad6aa6bc60"), (Plane::Rem, "fnv1a64:74c9a0551c934225")]
+    {
+        let mut cfg = RunConfig::new(DatasetSpec::beijing_taiyuan(150.0, 300.0), plane, 3);
+        cfg.faults = Some(FaultConfig::aggressive());
+        cfg.record_trace = true;
+        let m = simulate_run(&cfg);
+        assert_eq!(digest_of(&m), want, "{plane:?}");
+        let expected = FaultKind::all().into_iter();
+        for kind in expected.filter(|&k| plane == Plane::Legacy || k != FaultKind::MaskCell) {
+            assert!(
+                m.injected.iter().any(|f| f.kind == kind),
+                "{kind:?} never bit the {plane:?} run"
+            );
+        }
+    }
+}
+
+fn digest_of(m: &RunMetrics) -> String {
+    fnv1a64_digest(serde_json::to_string(m).expect("metrics serialize").as_bytes())
 }
