@@ -25,49 +25,66 @@ pub fn log_distance_pl_db(d_m: f64, d0_m: f64, pl0_db: f64, exponent: f64) -> f6
 
 /// 3GPP-style rural-macro path loss (the regime of trackside HSR
 /// deployments): `PL = 128.1 + 37.6 log10(d_km)` at 2 GHz, with a
-/// `21 log10(f / 2 GHz)` frequency correction.
+/// `21 log10(f / 2 GHz)` frequency correction. The sum of
+/// [`rural_macro_distance_db`] and [`rural_macro_carrier_db`], in that
+/// order, so a caller may compute each term once and add them.
 pub fn rural_macro_pl_db(d_m: f64, f_hz: f64) -> f64 {
-    let d_km = (d_m.max(10.0)) / 1000.0;
-    128.1 + 37.6 * d_km.log10() + 21.0 * (f_hz / 2e9).log10()
+    rural_macro_distance_db(d_m) + rural_macro_carrier_db(f_hz)
 }
 
-/// Spatially-correlated log-normal shadowing along a 1-D trajectory
-/// (Gudmundson model): an AR(1) process over travelled distance with
-/// standard deviation `sigma_db` and decorrelation distance
-/// `d_corr_m`. Each cell gets its own independent track.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ShadowingTrack {
+/// The distance term of [`rural_macro_pl_db`], `128.1 + 37.6
+/// log10(d_km)`, with the distance clamped below at 10 m.
+pub fn rural_macro_distance_db(d_m: f64) -> f64 {
+    let d_km = (d_m.max(10.0)) / 1000.0;
+    128.1 + 37.6 * d_km.log10()
+}
+
+/// The carrier term of [`rural_macro_pl_db`], `21 log10(f / 2 GHz)`.
+pub fn rural_macro_carrier_db(f_hz: f64) -> f64 {
+    21.0 * (f_hz / 2e9).log10()
+}
+
+/// One step of spatially-correlated log-normal shadowing along a 1-D
+/// trajectory (Gudmundson model): the AR(1) coefficients for `delta_m`
+/// metres of client movement under standard deviation `sigma_db` and
+/// decorrelation distance `d_corr_m`. Every [`ShadowingTrack`] with
+/// those parameters advances by the same step, so it is computed once
+/// per movement, not once per track.
+#[derive(Clone, Copy, Debug)]
+pub struct ShadowingStep {
     sigma_db: f64,
-    d_corr_m: f64,
-    state_db: f64,
-    initialized: bool,
+    rho: f64,
+    innovation_db: f64,
+}
+
+impl ShadowingStep {
+    /// The step over `delta_m` metres (either direction).
+    pub fn new(sigma_db: f64, d_corr_m: f64, delta_m: f64) -> Self {
+        assert!(sigma_db >= 0.0 && d_corr_m > 0.0);
+        let rho = (-delta_m.abs() / d_corr_m).exp();
+        Self { sigma_db, rho, innovation_db: sigma_db * (1.0 - rho * rho).sqrt() }
+    }
+}
+
+/// One shadowing process: each cell (or site) gets its own independent
+/// track, advanced by a shared [`ShadowingStep`].
+#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+pub struct ShadowingTrack {
+    /// The current value (dB); `None` until the first step.
+    state_db: Option<f64>,
 }
 
 impl ShadowingTrack {
-    /// Creates a track; the first sample is drawn fresh from
-    /// `N(0, sigma^2)`.
-    pub fn new(sigma_db: f64, d_corr_m: f64) -> Self {
-        assert!(sigma_db >= 0.0 && d_corr_m > 0.0);
-        Self { sigma_db, d_corr_m, state_db: 0.0, initialized: false }
-    }
-
-    /// Advances the track by `delta_m` metres of client movement and
-    /// returns the new shadowing value in dB.
-    pub fn advance(&mut self, rng: &mut impl Rng, delta_m: f64) -> f64 {
-        if !self.initialized {
-            self.state_db = self.sigma_db * standard_normal(rng);
-            self.initialized = true;
-            return self.state_db;
-        }
-        let rho = (-delta_m.abs() / self.d_corr_m).exp();
-        let innov = self.sigma_db * (1.0 - rho * rho).sqrt() * standard_normal(rng);
-        self.state_db = rho * self.state_db + innov;
-        self.state_db
-    }
-
-    /// Configured standard deviation in dB.
-    pub fn sigma_db(&self) -> f64 {
-        self.sigma_db
+    /// Advances the track by `step` and returns the new shadowing value
+    /// in dB. The first step draws it fresh from `N(0, sigma^2)`.
+    pub fn advance(&mut self, rng: &mut impl Rng, step: &ShadowingStep) -> f64 {
+        let z = standard_normal(rng);
+        let value = match self.state_db {
+            None => step.sigma_db * z,
+            Some(state) => step.rho * state + step.innovation_db * z,
+        };
+        self.state_db = Some(value);
+        value
     }
 }
 
@@ -117,9 +134,10 @@ mod tests {
     #[test]
     fn shadowing_moments() {
         let mut rng = rng_from_seed(3);
-        let mut tr = ShadowingTrack::new(4.0, 50.0);
+        let mut tr = ShadowingTrack::default();
         // Large steps decorrelate samples -> i.i.d. N(0, 16).
-        let xs: Vec<f64> = (0..20_000).map(|_| tr.advance(&mut rng, 5000.0)).collect();
+        let step = ShadowingStep::new(4.0, 50.0, 5000.0);
+        let xs: Vec<f64> = (0..20_000).map(|_| tr.advance(&mut rng, &step)).collect();
         assert!(mean(&xs).abs() < 0.1);
         assert!((std_dev(&xs) - 4.0).abs() < 0.1);
     }
@@ -127,12 +145,14 @@ mod tests {
     #[test]
     fn shadowing_small_steps_are_correlated() {
         let mut rng = rng_from_seed(5);
-        let mut tr = ShadowingTrack::new(6.0, 100.0);
-        let first = tr.advance(&mut rng, 0.0);
+        let mut tr = ShadowingTrack::default();
+        let first = tr.advance(&mut rng, &ShadowingStep::new(6.0, 100.0, 0.0));
         let mut max_jump: f64 = 0.0;
         let mut prev = first;
+        // 1 m steps, 100 m decorrelation.
+        let step = ShadowingStep::new(6.0, 100.0, 1.0);
         for _ in 0..100 {
-            let cur = tr.advance(&mut rng, 1.0); // 1 m steps, 100 m decorrelation
+            let cur = tr.advance(&mut rng, &step);
             max_jump = max_jump.max((cur - prev).abs());
             prev = cur;
         }
@@ -142,12 +162,12 @@ mod tests {
 
     #[test]
     fn shadowing_deterministic_per_seed() {
-        let mut a = ShadowingTrack::new(4.0, 50.0);
-        let mut b = ShadowingTrack::new(4.0, 50.0);
+        let (mut a, mut b) = (ShadowingTrack::default(), ShadowingTrack::default());
         let mut ra = rng_from_seed(9);
         let mut rb = rng_from_seed(9);
+        let step = ShadowingStep::new(4.0, 50.0, 10.0);
         for _ in 0..32 {
-            assert_eq!(a.advance(&mut ra, 10.0), b.advance(&mut rb, 10.0));
+            assert_eq!(a.advance(&mut ra, &step), b.advance(&mut rb, &step));
         }
     }
 }

@@ -129,6 +129,74 @@ fn resume_rebuilds_every_study_from_its_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `compare` row's campaign: the study its flags lower to.
+fn compare_campaign() -> rem_core::CampaignSpec {
+    rem_core::CampaignSpec::new(rem_core::DatasetSpec::beijing_taiyuan(5.0, 300.0))
+        .with_seeds(&[1, 2])
+}
+
+/// A compare checkpoint from when each `(plane, seed)` replay was its
+/// own trial (`2 * seeds` trials, one `RunMetrics` per record) belongs
+/// to another campaign: `--resume` refuses it (exit 1) and leaves it.
+#[test]
+fn resume_refuses_a_checkpoint_with_a_trial_per_plane() {
+    use rem_core::{Checkpoint, Plane, RunConfig, Study};
+    let dir = scratch("per-plane-ckpt");
+    let campaign = compare_campaign();
+    let n = campaign.seeds.len();
+    let fingerprint = campaign.fingerprint().expect("fingerprint");
+    let mut old = Checkpoint::new(rem_core::CampaignSpec::KIND, fingerprint, 2 * n);
+    for i in 0..2 * n {
+        let plane = if i < n { Plane::Legacy } else { Plane::Rem };
+        let cfg = RunConfig::new(campaign.spec.clone(), plane, campaign.seeds[i % n]);
+        let record = (rem_core::simulate_run(&cfg), rem_num::health::DegradedStats::default());
+        old.record(i, serde_json::to_string(&record).expect("record serializes"));
+    }
+    let ckpt = dir.join("old.ckpt");
+    old.save(&ckpt).expect("save per-plane checkpoint");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_rem"))
+        .args(["compare", "--resume", path_str(&ckpt), "--threads", "1", "--hash"])
+        .output()
+        .expect("run rem");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("belongs to a different campaign: 4 trials != 2"), "stderr: {stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("hash: "));
+    assert_eq!(Checkpoint::load(&ckpt).expect("checkpoint still loads"), old);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A compare manifest recorded when each `(plane, seed)` replay was its
+/// own trial reruns to its digest: `rem rerun` rebuilds the study from
+/// the fingerprint alone. Such a manifest differs from today's only in
+/// `n_trials` (`2 * seeds`).
+#[test]
+fn rerun_reproduces_a_manifest_with_a_trial_per_plane() {
+    let dir = scratch("per-plane-manifest");
+    let (_, args, _, expected) = KINDS[0];
+    let trace = dir.join("compare.trace.jsonl");
+    let mut run = args.to_vec();
+    run.extend(["--threads", "2", "--obs-trace", path_str(&trace)]);
+    let status = Command::new(env!("CARGO_BIN_EXE_rem"))
+        .args(&run)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("run rem");
+    assert!(status.success(), "compare failed: {status:?}");
+
+    let path = dir.join("compare.trace.jsonl.manifest.json");
+    let body = std::fs::read_to_string(&path).expect("read manifest");
+    let mut manifest: serde_json::Value = serde_json::from_str(&body).expect("manifest parses");
+    let seeds = compare_campaign().seeds.len();
+    assert_eq!(manifest["n_trials"].as_u64(), Some(seeds as u64), "one paired trial per seed");
+    assert_eq!(manifest["result_hash"].as_str(), Some(expected));
+    manifest["n_trials"] = (2 * seeds).into();
+    std::fs::write(&path, manifest.to_string()).expect("write manifest");
+    assert_eq!(rem_hash(&["rerun", path_str(&path), "--threads", "1"]), expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Flags and files are one path: each kind's equivalent scenario file,
 /// run with no study flags, prints the same pinned digest.
 #[test]

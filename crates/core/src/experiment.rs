@@ -17,8 +17,8 @@ use rem_num::health::DegradedStats;
 use rem_phy::link::BlerScenario;
 use rem_phy::BlockOutcome;
 use rem_sim::{
-    simulate_run, ClientTrial, DatasetSpec, Plane, RunConfig, RunMetrics, TrainMetrics,
-    TrainScenario,
+    simulate_planes, simulate_run, ClientTrial, DatasetSpec, Plane, RunConfig, RunMetrics,
+    TrainMetrics, TrainScenario,
 };
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -32,11 +32,11 @@ pub const DEFAULT_SEEDS: [u64; 4] = [1, 2, 3, 4];
 /// A Monte-Carlo replay campaign: the dataset, the seeds to replay it
 /// under, and how many worker threads to run them on.
 ///
-/// Each `(plane, seed)` replay is an independent trial
-/// ([`rem_sim::simulate_run`] derives all randomness from the config's
-/// seed), so a campaign fans its trials out over the worker pool and
-/// reduces them in canonical seed order — the aggregate is
-/// bit-identical for every thread count, including 1.
+/// Each seed's replay is an independent trial (the simulator derives
+/// all randomness from the config's seed), so a campaign fans its
+/// trials out over the worker pool and reduces them in canonical seed
+/// order — the aggregate is bit-identical for every thread count,
+/// including 1.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CampaignSpec {
     /// Dataset/route to replay.
@@ -85,7 +85,8 @@ impl CampaignSpec {
         self
     }
 
-    /// The replay of one `(plane, seed)` trial.
+    /// The run of `plane` under `seed`, with the campaign's dataset and
+    /// faults.
     fn run_config(&self, plane: Plane, seed: u64) -> RunConfig {
         let mut cfg = RunConfig::new(self.spec.clone(), plane, seed);
         cfg.faults = self.faults.clone();
@@ -127,11 +128,12 @@ impl CampaignSpec {
     }
 }
 
-/// The paired comparison: trials `0..n` replay the legacy plane over
-/// the `n` seeds, trials `n..2n` the REM plane over the same seeds.
+/// The paired comparison: trial `i` replays both planes of seed `i`, in
+/// lock-step on one environment stream ([`simulate_planes`]), and its
+/// value is the (legacy, REM) pair.
 impl Study for CampaignSpec {
     const KIND: &'static str = "compare";
-    type Trial = RunMetrics;
+    type Trial = (RunMetrics, RunMetrics);
     type Output = Comparison;
 
     /// The inherent [`CampaignSpec::fingerprint`], which stays for
@@ -147,22 +149,22 @@ impl Study for CampaignSpec {
     }
 
     fn n_trials(&self) -> usize {
-        2 * self.seeds.len()
+        self.seeds.len()
     }
 
-    fn run_trial(&self, i: usize) -> RunMetrics {
-        let n = self.seeds.len();
-        let plane = if i < n { Plane::Legacy } else { Plane::Rem };
-        simulate_run(&self.run_config(plane, self.seeds[i % n]))
+    fn run_trial(&self, i: usize) -> (RunMetrics, RunMetrics) {
+        let cfg = self.run_config(Plane::Legacy, self.seeds[i]);
+        let [legacy, rem] = simulate_planes(&cfg, [Plane::Legacy, Plane::Rem]);
+        (legacy, rem)
     }
 
-    fn merge(&self, trials: Vec<Option<RunMetrics>>) -> Comparison {
-        let n = self.seeds.len();
+    /// Folds the legacy halves in seed order into one aggregate and the
+    /// REM halves in seed order into the other.
+    fn merge(&self, trials: Vec<Option<(RunMetrics, RunMetrics)>>) -> Comparison {
         let (mut legacy, mut rem) = (RunMetrics::default(), RunMetrics::default());
-        for (i, m) in trials.into_iter().enumerate() {
-            if let Some(m) = m {
-                merge(if i < n { &mut legacy } else { &mut rem }, m);
-            }
+        for (l, r) in trials.into_iter().flatten() {
+            merge(&mut legacy, l);
+            merge(&mut rem, r);
         }
         Comparison { dataset: self.spec.name.clone(), speed_kmh: self.spec.speed_kmh, legacy, rem }
     }
@@ -343,21 +345,30 @@ impl Study for TrainScenario {
 
 /// A [`Comparison`] produced under crash isolation: a
 /// [`Checked<Comparison>`] whose value is named `comparison`.
+///
+/// Its trials are `(plane, seed)` replays, `2 * seeds` in total: replay
+/// `i` is seed `i`'s legacy plane and replay `seeds + i` its REM plane.
+/// A paired trial of the study counts as its two replays, so
+/// `completed_trials + quarantined.len() == total_trials`. Retries and
+/// overruns are per paired trial: its two replays run as one.
 #[derive(Clone, Debug)]
 pub struct CheckedComparison {
     /// The paired aggregate over every *completed* trial.
     pub comparison: Comparison,
-    /// Trials that panicked on every attempt.
+    /// Replays that panicked on every attempt (both of each quarantined
+    /// paired trial, in replay order).
     pub quarantined: Vec<QuarantinedTrial>,
-    /// Trials that exceeded the per-trial deadline.
+    /// Paired trials that exceeded the per-trial deadline (indexed by
+    /// seed).
     pub overruns: Vec<DeadlineOverrun>,
-    /// Panicking attempts that were retried successfully.
+    /// Panicking attempts of paired trials that were retried
+    /// successfully.
     pub retries: u64,
-    /// Trials replayed from the checkpoint instead of recomputed.
+    /// Replays restored from the checkpoint instead of recomputed.
     pub resumed_trials: usize,
-    /// Completed trials (resumed + newly run).
+    /// Completed replays (resumed + newly run).
     pub completed_trials: usize,
-    /// Total trials in the campaign (`2 * seeds`).
+    /// Total replays in the campaign (`2 * seeds`).
     pub total_trials: usize,
     /// Merged numerical-health counters over all completed trials.
     pub health: DegradedStats,
@@ -365,14 +376,20 @@ pub struct CheckedComparison {
 
 impl From<Checked<Comparison>> for CheckedComparison {
     fn from(c: Checked<Comparison>) -> Self {
+        let seeds = c.total_trials;
+        let rem_replays: Vec<QuarantinedTrial> = c
+            .quarantined
+            .iter()
+            .map(|q| QuarantinedTrial { index: seeds + q.index, ..q.clone() })
+            .collect();
         Self {
             comparison: c.value,
-            quarantined: c.quarantined,
+            quarantined: c.quarantined.into_iter().chain(rem_replays).collect(),
             overruns: c.overruns,
             retries: c.retries,
-            resumed_trials: c.resumed_trials,
-            completed_trials: c.completed_trials,
-            total_trials: c.total_trials,
+            resumed_trials: 2 * c.resumed_trials,
+            completed_trials: 2 * c.completed_trials,
+            total_trials: 2 * seeds,
             health: c.health,
         }
     }
@@ -410,10 +427,11 @@ pub struct Comparison {
 impl Comparison {
     /// Runs both planes over the campaign's seeds and aggregates.
     ///
-    /// All `2 * seeds` replays (legacy and REM) are independent trials
-    /// scheduled over the campaign's worker threads; per-plane metrics
-    /// are merged in seed order, so the result is bit-identical for
-    /// every thread count.
+    /// Each seed is an independent trial that replays both planes in
+    /// lock-step on one environment stream; trials are scheduled over
+    /// the campaign's worker threads and per-plane metrics are merged
+    /// in seed order, so the result is bit-identical for every thread
+    /// count.
     ///
     /// # Panics
     /// Panics when a trial panics (there is no retry budget here; use
@@ -428,10 +446,12 @@ impl Comparison {
     }
 
     /// [`Comparison::run`] under crash isolation with optional
-    /// checkpointing: each of the `2 * seeds` replays runs inside
+    /// checkpointing: each seed's paired trial runs inside
     /// `catch_unwind` with retry/quarantine semantics, and with a
     /// `path` the campaign state is atomically saved as trials finish,
-    /// so a killed process resumes with only the missing trials.
+    /// so a killed process resumes with only the missing trials. The
+    /// result counts replays, two per paired trial (see
+    /// [`CheckedComparison`]).
     ///
     /// A clean (no-quarantine) run merges exactly the values
     /// [`Comparison::run`] would have produced — same JSON, same hash.
@@ -611,6 +631,27 @@ mod tests {
         Ok(())
     }
 
+    /// `CheckedComparison` counts replays: a quarantined paired trial
+    /// is its two replays, legacy `i` and REM `seeds + i`.
+    #[test]
+    fn checked_comparison_counts_replays() -> Result<(), Box<dyn std::error::Error>> {
+        let campaign =
+            CampaignSpec::new(DatasetSpec::beijing_taiyuan(4.0, 300.0)).with_seeds(&[1, 2, 3]);
+        let policy = RunPolicy { threads: 2, max_retries: 0, ..Default::default() };
+        let checked = run_study(&campaign, &policy, None, |i, _| {
+            if i == 1 {
+                panic!("persistent fault in seed 2's pair");
+            }
+        })?;
+        assert_eq!((checked.completed_trials, checked.total_trials), (2, 3));
+        let c = CheckedComparison::from(checked);
+        assert_eq!((c.completed_trials, c.total_trials, c.resumed_trials), (4, 6, 0));
+        let replays: Vec<usize> = c.quarantined.iter().map(|q| q.index).collect();
+        assert_eq!(replays, [1, 4]);
+        assert_eq!(c.completed_trials + c.quarantined.len(), c.total_trials);
+        Ok(())
+    }
+
     #[test]
     fn checkpointed_aggregate_matches_plain_aggregate() -> Result<(), Box<dyn std::error::Error>>
     {
@@ -666,20 +707,57 @@ mod tests {
         let full = Comparison::run_checkpointed(&campaign, &policy, Some(&path))?;
         assert!(full.is_clean());
 
-        // Simulate a kill mid-campaign, then resume from the file alone.
+        // Simulate a kill mid-campaign (seed 10's paired trial lost),
+        // then resume from the file alone.
         let mut ckpt = Checkpoint::load(&path)?;
+        assert_eq!(ckpt.n_trials, 2, "one paired trial per seed");
         ckpt.unrecord(1);
-        ckpt.unrecord(3);
         ckpt.save(&path)?;
         let rebuilt: CampaignSpec = crate::study::from_checkpoint(&path, policy.threads)?;
         let resumed = run_study(&rebuilt, &policy, Some(&path), |_, _| {})?;
         assert_eq!(rebuilt.seeds, campaign.seeds);
-        assert_eq!(resumed.resumed_trials, 2);
+        assert_eq!(resumed.resumed_trials, 1);
         assert_eq!(
             serde_json::to_string(&resumed.into_result()?)?,
             serde_json::to_string(&uninterrupted)?,
             "resumed campaign must equal an uninterrupted run"
         );
+        let _ = std::fs::remove_file(&path);
+        Ok(())
+    }
+
+    /// A compare checkpoint written when each `(plane, seed)` replay was
+    /// its own trial (`2 * seeds` trials, one `RunMetrics` per record)
+    /// is refused, not merged as paired records: its trial count no
+    /// longer matches the campaign's.
+    #[test]
+    fn a_checkpoint_with_a_trial_per_plane_is_refused() -> Result<(), Box<dyn std::error::Error>>
+    {
+        let dir = std::env::temp_dir().join("rem-core-exp-tests");
+        std::fs::create_dir_all(&dir)?;
+        let path = dir.join("compare-per-plane.ckpt");
+        let campaign =
+            CampaignSpec::new(DatasetSpec::beijing_taiyuan(4.0, 300.0)).with_seeds(&[1, 2]);
+        let n = campaign.seeds.len();
+        let mut ckpt = Checkpoint::new(CampaignSpec::KIND, campaign.fingerprint()?, 2 * n);
+        for i in 0..2 * n {
+            let plane = if i < n { Plane::Legacy } else { Plane::Rem };
+            let m = simulate_run(&campaign.run_config(plane, campaign.seeds[i % n]));
+            ckpt.record(i, serde_json::to_string(&(m, DegradedStats::default()))?);
+        }
+        ckpt.save(&path)?;
+
+        let rebuilt: CampaignSpec = crate::study::from_checkpoint(&path, 1)?;
+        assert_eq!(rebuilt.fingerprint()?, campaign.fingerprint()?);
+        let policy = RunPolicy { threads: 1, ..Default::default() };
+        match run_study(&rebuilt, &policy, Some(&path), |_, _| {}) {
+            Err(ExperimentError::SpecMismatch { detail, .. }) => {
+                assert_eq!(detail, "4 trials != 2");
+            }
+            other => panic!("expected SpecMismatch, got {:?}", other.map(|c| c.completed_trials)),
+        }
+        // The refused file is left as it was.
+        assert_eq!(Checkpoint::load(&path)?, ckpt);
         let _ = std::fs::remove_file(&path);
         Ok(())
     }
@@ -698,7 +776,7 @@ mod tests {
             |i, a| chaos.maybe_panic(i, a),
         )?;
         assert!(checked.is_clean());
-        assert_eq!(checked.retries, 2, "both trials panicked once and were retried");
+        assert_eq!(checked.retries, 1, "the paired trial panicked once and was retried");
         assert_eq!(
             serde_json::to_string(&checked.into_result()?)?,
             serde_json::to_string(&clean)?,

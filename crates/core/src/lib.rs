@@ -78,4 +78,4 @@ pub use rem_phy;
 pub use rem_sim;
 
 pub use rem_faults::{FaultConfig, FaultKind, FaultPlan, InjectedFault, OraclePair};
-pub use rem_sim::{simulate_run, DatasetSpec, Plane, RunConfig, RunMetrics};
+pub use rem_sim::{simulate_planes, simulate_run, DatasetSpec, Plane, RunConfig, RunMetrics};

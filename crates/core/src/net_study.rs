@@ -110,19 +110,31 @@ impl Default for NetStudySpec {
 impl NetStudySpec {
     /// Validates rates, seeds and shapes.
     pub fn validate(&self) -> Result<(), String> {
-        if let Some((field, value, reason)) = self.faults.invalid_field() {
-            return Err(format!("{field} {reason}, got {value}"));
-        }
         if self.seeds.is_empty() {
             return Err("seeds must list at least one seed".into());
         }
+        match self.invalid_field() {
+            Some((field, value, reason)) => Err(format!("{field} {reason}, got {value}")),
+            None => Ok(()),
+        }
+    }
+
+    /// The first out-of-domain numeric field, as `(field, value,
+    /// reason)`: a pathology rate or shape (named as in
+    /// [`NetFaultConfig::invalid_field`]), `window_ms` or `loss_prob`.
+    /// The one rule for each, shared by [`validate`](Self::validate) and
+    /// the scenario's `[net]` section.
+    pub fn invalid_field(&self) -> Option<(&'static str, f64, &'static str)> {
+        if let Some(bad) = self.faults.invalid_field() {
+            return Some(bad);
+        }
         if !(self.window_ms.is_finite() && self.window_ms > 0.0) {
-            return Err(format!("window_ms must be finite and > 0, got {}", self.window_ms));
+            return Some(("window_ms", self.window_ms, "must be finite and > 0"));
         }
         if !(0.0..=1.0).contains(&self.loss_prob) {
-            return Err(format!("loss_prob must be in [0, 1], got {}", self.loss_prob));
+            return Some(("loss_prob", self.loss_prob, "must be a probability in [0, 1]"));
         }
-        Ok(())
+        None
     }
 
     /// Canonical JSON of the spec: the checkpoint / manifest / rerun

@@ -903,16 +903,8 @@ impl ScenarioSpec {
                 return Err(range("faults.rate_scale", fs.rate_scale.unwrap_or(1.0), reason));
             }
         }
-        if let Some(ns) = &self.net {
-            if let Some(v) = ns.window_ms {
-                pos("net.window_ms", v)?;
-            }
-            if let Some(p) = ns.loss_prob {
-                if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                    return Err(range("net.loss_prob", p, "must be a probability in [0, 1]"));
-                }
-            }
-            if let Some((field, value, reason)) = ns.to_config().invalid_field() {
+        if let Some(net) = self.net_study_spec() {
+            if let Some((field, value, reason)) = net.invalid_field() {
                 return Err(range(&format!("net.{field}"), value, reason));
             }
         }

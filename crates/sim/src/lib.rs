@@ -11,13 +11,15 @@
 //! metrics behind Tables 2/3/5 and Figs 2/3/4/9/15.
 //!
 //! ```
-//! use rem_sim::{DatasetSpec, Plane, RunConfig, simulate_run};
+//! use rem_sim::{simulate_planes, simulate_run, DatasetSpec, Plane, RunConfig};
 //!
-//! let spec = DatasetSpec::beijing_taiyuan(10.0, 300.0);
-//! let legacy = simulate_run(&RunConfig::new(spec.clone(), Plane::Legacy, 7));
-//! let rem = simulate_run(&RunConfig::new(spec, Plane::Rem, 7));
+//! // Both planes of seed 7, in lock-step on one environment stream.
+//! let cfg = RunConfig::new(DatasetSpec::beijing_taiyuan(10.0, 300.0), Plane::Rem, 7);
+//! let [legacy, rem] = simulate_planes(&cfg, [Plane::Legacy, Plane::Rem]);
 //! assert!(!legacy.handovers.is_empty());
 //! assert!(rem.failure_ratio() <= legacy.failure_ratio());
+//! // One plane on its own replays exactly its half of the pair.
+//! assert_eq!(simulate_run(&cfg).handovers, rem.handovers);
 //! ```
 
 pub mod dataset;
@@ -39,7 +41,7 @@ pub use metrics::{FailureRecord, HandoverRecord, LoopRecord, RunMetrics, Signali
 pub use predict::TrajectoryFilter;
 pub use radio::{RadioEnv, ShadowingCfg};
 pub use rem_faults::{FaultConfig, FaultKind, FaultMode, FaultPlan, InjectedFault, OraclePair};
-pub use run::{simulate_run, Plane, ReestablishCfg, RunConfig};
+pub use run::{simulate_planes, simulate_run, Plane, ReestablishCfg, RunConfig};
 pub use trace::{SignalingEvent, SignalingTrace};
 pub use train::{ClientTrial, TrainMetrics, TrainScenario};
 pub use trajectory::{SpeedProfile, Trajectory};

@@ -11,7 +11,9 @@
 //! model, not here — the slow envelope is what measurement reports
 //! carry.
 
-use rem_channel::radio::{rural_macro_pl_db, ShadowingTrack};
+use rem_channel::radio::{
+    rural_macro_carrier_db, rural_macro_distance_db, ShadowingStep, ShadowingTrack,
+};
 use rem_mobility::{CellId, Earfcn};
 use rem_num::SimRng;
 
@@ -47,10 +49,8 @@ pub struct CellRadio {
 pub struct RadioEnv {
     deployment: Deployment,
     shadowing_cfg: ShadowingCfg,
-    // Shadowing is a property of the propagation paths, i.e. of the
-    // *site*: co-sited cells share one track (they share the mast).
-    // Indexed like `deployment.sites`; created on first sight.
-    tracks: Vec<Option<ShadowingTrack>>,
+    /// Per site, indexed like `deployment.sites`.
+    sites: Vec<SiteRadio>,
     // Per observed cell, in observation order: id, carrier, RSRP (dBm)
     // and its linear power. Reused across epochs.
     rx: Vec<(CellId, Earfcn, f64, f64)>,
@@ -58,6 +58,18 @@ pub struct RadioEnv {
     /// Extra attenuation inside coverage holes (dB).
     hole_extra_loss_db: f64,
     noise_figure_db: f64,
+    /// [`noise_floor_dbm`](Self::noise_floor_dbm) as a linear power.
+    noise_lin: f64,
+}
+
+/// What a site's cells share, and what each keeps, across epochs.
+struct SiteRadio {
+    /// Shadowing is a property of the propagation paths, i.e. of the
+    /// *site*: co-sited cells share one track (they share the mast).
+    track: ShadowingTrack,
+    /// Per cell of the site, in order: the carrier term of its path
+    /// loss, [`rural_macro_carrier_db`].
+    carrier_db: Vec<f64>,
 }
 
 impl RadioEnv {
@@ -73,15 +85,30 @@ impl RadioEnv {
             deployment.sites.windows(2).all(|w| w[0].along_m <= w[1].along_m),
             "deployment sites must be ordered by track position"
         );
-        Self {
-            tracks: vec![None; deployment.sites.len()],
+        let sites = deployment
+            .sites
+            .iter()
+            .map(|site| SiteRadio {
+                track: ShadowingTrack::default(),
+                carrier_db: site
+                    .cells
+                    .iter()
+                    .map(|c| rural_macro_carrier_db(c.carrier_hz))
+                    .collect(),
+            })
+            .collect();
+        let mut env = Self {
             deployment,
             shadowing_cfg,
+            sites,
             rx: Vec::new(),
             last_pos_m: 0.0,
             hole_extra_loss_db: 40.0,
             noise_figure_db: 7.0,
-        }
+            noise_lin: 0.0,
+        };
+        env.noise_lin = 10f64.powf(env.noise_floor_dbm() / 10.0);
+        env
     }
 
     /// The deployment.
@@ -109,9 +136,13 @@ impl RadioEnv {
     /// [`observe`](Self::observe) into a caller-owned buffer (cleared
     /// first), so an epoch loop reusing it does not allocate.
     ///
-    /// Each cell's interference is the sum of the linear powers of the
-    /// other same-carrier cells, added in observation order (site
-    /// order, then cell order within the site).
+    /// Per call, the shadowing step over the distance moved is computed
+    /// once and advances every in-range site's track; per in-range site,
+    /// the distance term of the path loss is computed once and added to
+    /// each cell's carrier term (computed in [`new`](Self::new)). Each
+    /// cell's interference is the sum of the linear powers of the other
+    /// same-carrier cells, added in observation order (site order, then
+    /// cell order within the site).
     pub fn observe_into(
         &mut self,
         pos_m: f64,
@@ -132,18 +163,15 @@ impl RadioEnv {
         let sites = &self.deployment.sites;
         let lo = sites.partition_point(|s| s.along_m - pos_m < -max_range_m);
         let hi = lo + sites[lo..].partition_point(|s| s.along_m - pos_m <= max_range_m);
-        let shadow_cfg = self.shadowing_cfg;
+        let step =
+            ShadowingStep::new(self.shadowing_cfg.sigma_db, self.shadowing_cfg.d_corr_m, delta);
         // First pass: received powers (and each cell's carrier).
-        for (site, track) in sites[lo..hi].iter().zip(&mut self.tracks[lo..hi]) {
+        for (site, radio) in sites[lo..hi].iter().zip(&mut self.sites[lo..hi]) {
             let dist = ((pos_m - site.along_m).powi(2) + site.lateral_m.powi(2)).sqrt();
-            let shadow = track
-                .get_or_insert_with(|| {
-                    ShadowingTrack::new(shadow_cfg.sigma_db, shadow_cfg.d_corr_m)
-                })
-                .advance(rng, delta);
-            for cell in &site.cells {
-                let mut rsrp =
-                    cell.tx_power_dbm - rural_macro_pl_db(dist, cell.carrier_hz) + shadow;
+            let distance_db = rural_macro_distance_db(dist);
+            let shadow = radio.track.advance(rng, &step);
+            for (cell, &carrier_db) in site.cells.iter().zip(&radio.carrier_db) {
+                let mut rsrp = cell.tx_power_dbm - (distance_db + carrier_db) + shadow;
                 if in_hole {
                     rsrp -= self.hole_extra_loss_db;
                 }
@@ -151,7 +179,6 @@ impl RadioEnv {
             }
         }
         // Second pass: SINR with same-carrier (reuse-1) interference.
-        let noise_lin = 10f64.powf(self.noise_floor_dbm() / 10.0);
         for &(id, earfcn, rsrp, _) in &self.rx {
             let interference: f64 = self
                 .rx
@@ -159,7 +186,7 @@ impl RadioEnv {
                 .filter(|&&(oid, oearfcn, _, _)| oid != id && oearfcn == earfcn)
                 .map(|&(_, _, _, p)| p)
                 .sum();
-            let sinr = rsrp - 10.0 * (noise_lin + interference).log10();
+            let sinr = rsrp - 10.0 * (self.noise_lin + interference).log10();
             out.push(CellRadio { cell: id, rsrp_dbm: rsrp, snr_db: sinr });
         }
         out.sort_by(|a, b| b.rsrp_dbm.partial_cmp(&a.rsrp_dbm).expect("RSRP is not NaN"));
@@ -172,16 +199,19 @@ mod tests {
     use crate::dataset::DatasetSpec;
     use crate::deployment::{BaseStationId, DeploymentSpec};
     use rand::Rng;
-    use rem_num::rng::rng_from_seed;
+    use rem_channel::radio::rural_macro_pl_db;
+    use rem_num::rng::{rng_from_seed, standard_normal};
     use std::collections::HashMap;
 
     /// The observation `observe_into` must reproduce bit for bit: it
     /// clones each in-range site's cells, keys shadowing tracks by site
-    /// id, and evaluates `powf` once per same-carrier cell pair.
+    /// id and advances each by its own AR(1) step, evaluates the whole
+    /// path loss per cell, and `powf` once per same-carrier cell pair.
     struct ReferenceEnv {
         deployment: Deployment,
         shadowing_cfg: ShadowingCfg,
-        tracks: HashMap<BaseStationId, ShadowingTrack>,
+        /// Per site: the shadowing value (dB), once first drawn.
+        tracks: HashMap<BaseStationId, f64>,
         last_pos_m: f64,
         noise_floor_dbm: f64,
     }
@@ -214,10 +244,16 @@ mod tests {
             let mut rx: Vec<(CellId, Earfcn, f64)> = Vec::new();
             for (bs, along, lateral, cells) in sites {
                 let dist = ((pos_m - along).powi(2) + lateral.powi(2)).sqrt();
-                let track = self.tracks.entry(bs).or_insert_with(|| {
-                    ShadowingTrack::new(shadow_cfg.sigma_db, shadow_cfg.d_corr_m)
-                });
-                let shadow = track.advance(rng, delta);
+                let ShadowingCfg { sigma_db, d_corr_m } = shadow_cfg;
+                let z = standard_normal(rng);
+                let shadow = match self.tracks.get(&bs) {
+                    None => sigma_db * z,
+                    Some(&state) => {
+                        let rho = (-delta.abs() / d_corr_m).exp();
+                        rho * state + sigma_db * (1.0 - rho * rho).sqrt() * z
+                    }
+                };
+                self.tracks.insert(bs, shadow);
                 for cell in cells {
                     let mut rsrp =
                         cell.tx_power_dbm - rural_macro_pl_db(dist, cell.carrier_hz) + shadow;

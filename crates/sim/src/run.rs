@@ -5,7 +5,7 @@
 //! overlay, reproducing the paper's replay methodology (§7): same
 //! radio environment, same policies, different mobility machinery.
 //!
-//! A replay has two halves, and [`simulate_run`] steps one over the
+//! A replay has two halves, and [`simulate_planes`] steps one over the
 //! other:
 //!
 //! - the **environment stream** (`EnvStream`): the deployment, owned by
@@ -13,10 +13,14 @@
 //!   the last second of observations. It depends on the dataset and the
 //!   seed only, never on the plane, so both planes of a seed replay the
 //!   same radio conditions;
-//! - the **plane state** (`PlaneState`): the client's connection state,
-//!   its event monitors, the RLF bookkeeping, the `link-<plane>` and
-//!   `estimation` RNG streams and the metrics. `PlaneState::step`
-//!   advances it by one epoch of the stream.
+//! - the **plane state** (`PlaneState`), one per plane: the client's
+//!   connection state, its event monitors, the RLF bookkeeping, the
+//!   `link-<plane>` and `estimation` RNG streams and the metrics.
+//!   `PlaneState::step` advances it by one epoch of the stream.
+//!
+//! One stream feeds every plane in lock-step, one observation per
+//! epoch: the paired comparison observes the environment once for both
+//! planes, and [`simulate_run`] is the one-plane case of the same loop.
 //!
 //! Per measurement epoch (20 ms):
 //!
@@ -213,12 +217,24 @@ const CONF_LIMIT_DB: f64 = 2.0;
 
 /// Runs one campaign and returns its metrics.
 pub fn simulate_run(cfg: &RunConfig) -> RunMetrics {
+    let [metrics] = simulate_planes(cfg, [cfg.plane]);
+    metrics
+}
+
+/// Runs `cfg` once per plane in `planes`, all of them in lock-step on
+/// one environment stream, and returns their metrics in that order
+/// (`cfg.plane` is not read). No plane draws from the stream, so each
+/// plane's metrics equal [`simulate_run`] of `cfg` with that plane.
+pub fn simulate_planes<const N: usize>(cfg: &RunConfig, planes: [Plane; N]) -> [RunMetrics; N] {
     let mut env = EnvStream::new(&cfg.spec, cfg.seed);
-    let mut plane = PlaneState::new(cfg, env.radio.deployment(), env.strongest());
+    let mut states =
+        planes.map(|plane| PlaneState::new(cfg, plane, env.radio.deployment(), env.strongest()));
     while let Some(epoch) = env.next_epoch() {
-        plane.step(&epoch);
+        for state in &mut states {
+            state.step(&epoch);
+        }
     }
-    plane.finish()
+    states.map(PlaneState::finish)
 }
 
 /// The plane-independent half of a replay. Only
@@ -512,6 +528,7 @@ impl Monitors {
 /// One plane's half of a replay: everything that depends on the plane.
 struct PlaneState<'c> {
     cfg: &'c RunConfig,
+    plane: Plane,
     waveform: Waveform,
     /// Measurement staleness of REM's event evaluation (ms).
     rem_staleness_ms: f64,
@@ -543,17 +560,23 @@ struct PlaneState<'c> {
 }
 
 impl<'c> PlaneState<'c> {
-    /// A plane over `deployment`, attached to `strongest` (or in a
-    /// coverage-hole outage when no cell is in range).
-    fn new(cfg: &'c RunConfig, deployment: &Deployment, strongest: Option<CellId>) -> Self {
+    /// `plane` of `cfg` over `deployment`, attached to `strongest` (or
+    /// in a coverage-hole outage when no cell is in range).
+    fn new(
+        cfg: &'c RunConfig,
+        plane: Plane,
+        deployment: &Deployment,
+        strongest: Option<CellId>,
+    ) -> Self {
         let spec = &cfg.spec;
         let duration_s = spec.duration_s();
         // Per-cell state lives in dense vectors indexed by cell id
         // (`generate` numbers cells from 0).
         let n_cells = deployment.cells().map(|c| c.id.0 as usize + 1).max().unwrap_or(0);
-        let mut plane = Self {
+        let mut state = Self {
             cfg,
-            waveform: match cfg.plane {
+            plane,
+            waveform: match plane {
                 Plane::Legacy => Waveform::Ofdm,
                 Plane::Rem if cfg.ablation.otfs_signaling => Waveform::Otfs,
                 Plane::Rem => Waveform::Ofdm,
@@ -565,7 +588,7 @@ impl<'c> PlaneState<'c> {
             } else {
                 spec.intra_staleness_ms.max(spec.inter_staleness_ms)
             },
-            link_rng: child_rng(cfg.seed, &format!("link-{:?}", cfg.plane)),
+            link_rng: child_rng(cfg.seed, &format!("link-{plane:?}")),
             est_rng: child_rng(cfg.seed, "estimation"),
             est_err: vec![None; n_cells],
             monitors: Monitors::new(n_cells),
@@ -592,9 +615,9 @@ impl<'c> PlaneState<'c> {
             metrics: RunMetrics { duration_s, ..Default::default() },
         };
         if let Some(cell) = strongest {
-            plane.record(SignalingEvent::Attach { t_ms: 0.0, cell });
+            state.record(SignalingEvent::Attach { t_ms: 0.0, cell });
         }
-        plane
+        state
     }
 
     /// Advances the plane by one epoch of the environment stream.
@@ -658,7 +681,7 @@ impl<'c> PlaneState<'c> {
             None
         } else {
             let spec = &cfg.spec;
-            match cfg.plane {
+            match self.plane {
                 Plane::Legacy => self.monitors.legacy(
                     spec,
                     e.deployment,
@@ -753,7 +776,7 @@ impl<'c> PlaneState<'c> {
         // The §3.2 missed-cell condition: a viable cell on another
         // frequency that legacy stage-1 monitoring never measured.
         let serving_earfcn = e.deployment.cell(serving).map(|c| c.earfcn);
-        let missed = self.cfg.plane == Plane::Legacy
+        let missed = self.plane == Plane::Legacy
             && !self.monitors.stage2
             && e.now.iter().any(|c| {
                 c.snr_db > 0.0
@@ -1134,7 +1157,7 @@ impl<'c> PlaneState<'c> {
         // pair's effective A3 offsets sum below zero (Theorem 2's
         // violated condition); under REM's clamping that sum is always
         // >= 0.
-        let clamp = cfg.plane == Plane::Rem && cfg.rem_clamp_offsets;
+        let clamp = self.plane == Plane::Rem && cfg.rem_clamp_offsets;
         m.loops = detect_loops(&m.handovers, LOOP_WINDOW_MS, HO_DISRUPTION_MS, |a, b| {
             let mut fwd = cfg.spec.a3_offset(a, b);
             let mut back = cfg.spec.a3_offset(b, a);
@@ -1153,7 +1176,7 @@ impl<'c> PlaneState<'c> {
             "sim",
             "run_done",
             &[
-                ("plane", format!("{:?}", cfg.plane).into()),
+                ("plane", format!("{:?}", self.plane).into()),
                 ("seed", cfg.seed.into()),
                 ("handovers", m.handovers.len().into()),
                 ("failures", m.failures.len().into()),
@@ -1240,6 +1263,38 @@ mod tests {
             let a = serde_json::to_string(&simulate_run(&cfg)).unwrap();
             let b = serde_json::to_string(&simulate_run(&cfg)).unwrap();
             assert_eq!(a, b, "{plane:?}");
+        }
+    }
+
+    /// Each plane of the lock-step loop serializes byte for byte like
+    /// a replay of that plane alone, on every dataset family, clean and
+    /// under aggressive faults with the signaling trace recorded. The
+    /// faulted `beijing_taiyuan` pair is the run `tests/end_to_end.rs`
+    /// pins in `faulted_traced_runs_are_pinned`.
+    #[test]
+    fn lock_step_planes_match_each_plane_alone() {
+        let families = [
+            DatasetSpec::beijing_taiyuan(150.0, 300.0),
+            DatasetSpec::beijing_shanghai(20.0, 300.0),
+            DatasetSpec::la_driving(8.0, 100.0),
+            DatasetSpec::nr_smallcell(4.0, 120.0),
+        ];
+        let json = |m: &RunMetrics| serde_json::to_string(m).expect("metrics serialize");
+        for spec in families {
+            for faulted in [false, true] {
+                let mut cfg = RunConfig::new(spec.clone(), Plane::Legacy, 3);
+                if faulted {
+                    cfg.faults = Some(FaultConfig::aggressive());
+                    cfg.record_trace = true;
+                }
+                let planes = [Plane::Legacy, Plane::Rem];
+                let paired = simulate_planes(&cfg, planes);
+                for (plane, m) in planes.into_iter().zip(&paired) {
+                    let alone = simulate_run(&RunConfig { plane, ..cfg.clone() });
+                    assert_eq!(json(m), json(&alone), "{} {plane:?} faulted={faulted}", spec.name);
+                    assert_eq!(!m.trace.is_empty(), faulted, "{} {plane:?}", spec.name);
+                }
+            }
         }
     }
 
@@ -1434,7 +1489,7 @@ mod tests {
         // serving site on the other carrier (measured, not estimated).
         let l = Legacy::new(0.0, 0.0);
         let cfg = RunConfig::new(l.spec.clone(), Plane::Rem, 1);
-        let mut plane = PlaneState::new(&cfg, &l.deployment, Some(CellId(0)));
+        let mut plane = PlaneState::new(&cfg, Plane::Rem, &l.deployment, Some(CellId(0)));
         let radio = |c, snr_db| CellRadio { cell: CellId(c), rsrp_dbm: -100.0, snr_db };
         let obs = [radio(0, 0.0), radio(1, 10.0)];
         let fired: Vec<f64> = [0.0, 20.0, 40.0]

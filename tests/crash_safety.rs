@@ -99,10 +99,10 @@ fn killed_campaign_resumes_bit_identical_at_any_thread_count(
     let campaign = small_campaign();
     let reference = Comparison::run(&campaign.clone().with_threads(1));
     let reference_hash = hash_of(&reference);
-    let total = 2 * campaign.seeds.len(); // legacy + REM planes
+    let total = campaign.seeds.len(); // one paired (legacy + REM) trial per seed
 
     let policy = RunPolicy { checkpoint_every: 1, ..RunPolicy::default() };
-    for kill_after in [1, 3, 5] {
+    for kill_after in [1, 2] {
         for resume_threads in [1usize, 4] {
             let path = scratch(&format!("kill{kill_after}-t{resume_threads}"));
             let _ = std::fs::remove_file(&path);
@@ -208,7 +208,7 @@ fn chaos_campaign_hash_equals_calm_campaign_hash() -> Result<(), Box<dyn std::er
     let policy = RunPolicy { threads: 2, max_retries: 2, ..RunPolicy::default() };
     let checked = run_study(&campaign, &policy, None, |i, a| chaos.maybe_panic(i, a))?;
     assert!(checked.is_clean());
-    assert_eq!(checked.retries as usize, 2 * campaign.seeds.len());
+    assert_eq!(checked.retries as usize, campaign.seeds.len());
     assert_eq!(hash_of(&checked.value), calm_hash);
     Ok(())
 }

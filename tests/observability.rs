@@ -38,9 +38,10 @@ fn campaign_counters(threads: usize) -> BTreeMap<String, u64> {
 fn metric_counters_are_thread_count_invariant() {
     let _g = lock();
     let serial = campaign_counters(1);
-    // 2 seeds x 2 planes = 4 simulated runs, regardless of scheduling.
+    // 2 seeds x 2 planes = 4 simulated runs in 2 paired trials,
+    // regardless of scheduling.
     assert_eq!(serial.get("rem_sim_runs_total"), Some(&4));
-    assert_eq!(serial.get("rem_exec_checked_trials_total"), Some(&4));
+    assert_eq!(serial.get("rem_exec_checked_trials_total"), Some(&2));
     let parallel = campaign_counters(4);
     assert_eq!(serial, parallel, "counters must not depend on the worker count");
 }

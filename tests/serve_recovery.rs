@@ -8,7 +8,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use rem_core::{fnv1a64, Comparison, ScenarioSpec};
+use rem_core::{fnv1a64, CampaignSpec, Checkpoint, Comparison, Plane, ScenarioSpec, Study};
+use rem_num::health::DegradedStats;
 use rem_serve::{JobQueue, JobState, QueueConfig, ServeConfig, Server};
 
 /// A campaign small enough to finish in seconds but with enough trials
@@ -261,6 +262,48 @@ fn sigkill_state_recovers_to_identical_hash() {
         "metrics:\n{metrics}"
     );
 
+    server.drain();
+    server.join();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A job whose spool holds a compare checkpoint from when each
+/// `(plane, seed)` replay was its own trial (`2 * seeds` trials, one
+/// `RunMetrics` per record) fails with the checkpoint mismatch on every
+/// attempt instead of merging those records, and the file is kept.
+#[test]
+fn per_plane_checkpoint_in_the_spool_fails_the_job() {
+    let spool = scratch_spool("per-plane-ckpt");
+    let jobs_dir = spool.join("jobs");
+    std::fs::create_dir_all(&jobs_dir).expect("create jobs dir");
+    let id = {
+        let (queue, _) = JobQueue::open(&spool.join("queue.journal"), QueueConfig::default())
+            .expect("fresh journal");
+        queue.submit("tiny-serve", TINY_SCENARIO).expect("submit")
+    };
+    let campaign = ScenarioSpec::from_toml(TINY_SCENARIO).expect("scenario parses").campaign();
+    let n = campaign.seeds.len();
+    let fingerprint = campaign.fingerprint().expect("fingerprint");
+    let mut old = Checkpoint::new(CampaignSpec::KIND, fingerprint, 2 * n);
+    for i in 0..2 * n {
+        let plane = if i < n { Plane::Legacy } else { Plane::Rem };
+        let mut cfg = rem_core::RunConfig::new(campaign.spec.clone(), plane, campaign.seeds[i % n]);
+        cfg.faults = campaign.faults.clone();
+        let record = (rem_core::simulate_run(&cfg), DegradedStats::default());
+        old.record(i, serde_json::to_string(&record).expect("record serializes"));
+    }
+    let ckpt = jobs_dir.join(format!("job-{id}.ckpt"));
+    old.save(&ckpt).expect("save per-plane checkpoint");
+
+    let mut cfg = serve_config(&spool);
+    cfg.job_retries = 2;
+    let server = Server::start(&cfg).expect("service starts");
+    let job = await_terminal(&server, id, Duration::from_secs(120));
+    assert_eq!(job.state, JobState::Quarantined);
+    assert_eq!(job.attempts, 2);
+    let error = job.error.expect("the failed job records its error");
+    assert!(error.contains("belongs to a different campaign: 4 trials != 2"), "error: {error}");
+    assert_eq!(Checkpoint::load(&ckpt).expect("checkpoint still loads"), old);
     server.drain();
     server.join();
     let _ = std::fs::remove_dir_all(&spool);
