@@ -350,7 +350,9 @@ impl Study for TrainScenario {
 /// `i` is seed `i`'s legacy plane and replay `seeds + i` its REM plane.
 /// A paired trial of the study counts as its two replays, so
 /// `completed_trials + quarantined.len() == total_trials`. Retries and
-/// overruns are per paired trial: its two replays run as one.
+/// overruns are per paired trial: its two replays run as one. The
+/// replay counts stay because perfbench's `compare_hsr` counts its
+/// operations in replays.
 #[derive(Clone, Debug)]
 pub struct CheckedComparison {
     /// The paired aggregate over every *completed* trial.
