@@ -43,11 +43,26 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Draws a standard normal sample via Box–Muller.
+/// Draws a standard normal sample via Box–Muller: [`uniform_pair`],
+/// then [`box_muller`].
 pub fn standard_normal(rng: &mut impl Rng) -> f64 {
-    // Guard against log(0).
+    box_muller(uniform_pair(rng))
+}
+
+/// The random half of one [`standard_normal`] draw: the uniform pair
+/// `(u1, u2)`, `u1` in `[MIN_POSITIVE, 1)` (guards against log(0)) and
+/// `u2` in `[0, 1)`, drawn in that order.
+#[inline]
+pub fn uniform_pair(rng: &mut impl Rng) -> (f64, f64) {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen::<f64>();
+    (u1, u2)
+}
+
+/// The pure half of one [`standard_normal`] draw: Box–Muller's normal
+/// sample of a [`uniform_pair`].
+#[inline]
+pub fn box_muller((u1, u2): (f64, f64)) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
 }
 
@@ -60,8 +75,16 @@ pub fn normal(rng: &mut impl Rng, mean: f64, std_dev: f64) -> f64 {
 /// variance `var` (i.e. each component has variance `var / 2`). This is
 /// the standard model for both AWGN and Rayleigh path gains.
 pub fn complex_gaussian(rng: &mut impl Rng, var: f64) -> Complex64 {
+    complex_gaussian_of([uniform_pair(rng), uniform_pair(rng)], var)
+}
+
+/// The pure half of one [`complex_gaussian`] draw: the sample of
+/// variance `var` whose real and imaginary parts are the
+/// [`box_muller`] samples of `pairs[0]` and `pairs[1]`.
+#[inline]
+pub fn complex_gaussian_of(pairs: [(f64, f64); 2], var: f64) -> Complex64 {
     let s = (var / 2.0).sqrt();
-    c64(s * standard_normal(rng), s * standard_normal(rng))
+    c64(s * box_muller(pairs[0]), s * box_muller(pairs[1]))
 }
 
 /// Draws an exponential sample with the given mean.

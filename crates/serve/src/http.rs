@@ -7,9 +7,21 @@
 //! headers, `Content-Length` body) and writes one `Connection: close`
 //! response, all over `std::net::TcpStream`, and nothing more: no
 //! keep-alive, no chunked encoding, no TLS.
+//!
+//! Every part of a request is bounded before it is buffered: a head
+//! line by [`MAX_LINE`], the whole head by [`MAX_HEAD`] and the body by
+//! [`MAX_BODY`], so reading one request buffers at most their sum plus
+//! one read buffer.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+
+/// Longest accepted request line or header line, line ending included.
+pub const MAX_LINE: usize = 8 << 10;
+
+/// Largest accepted request head: the request line and every header
+/// line, up to and including the empty line that ends it.
+pub const MAX_HEAD: usize = 32 << 10;
 
 /// Largest accepted request body (a scenario TOML is ~1 KiB; this is
 /// generous while still bounding a misbehaving client).
@@ -61,13 +73,33 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Reads one request off the stream. `Err` covers both I/O failures
-/// and malformed requests; the caller just drops the connection.
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let mut reader = BufReader::new(stream);
+fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// Reads one head line, line ending included (empty at the end of the
+/// stream), and charges it to `head_left`, the bytes the head may
+/// still take. A line past [`MAX_LINE`] or past the head's budget is
+/// `InvalidData`, with no more than one buffer read beyond the cap.
+fn read_head_line(reader: &mut impl BufRead, head_left: &mut usize) -> io::Result<String> {
+    let cap = MAX_LINE.min(*head_left);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let n = reader.by_ref().take(cap as u64).read_line(&mut line)?;
+    if n == cap && !line.ends_with('\n') {
+        let why = if cap < MAX_LINE { "request head too large" } else { "head line too long" };
+        return Err(bad(why));
+    }
+    *head_left -= n;
+    Ok(line)
+}
+
+/// Reads one request off `stream`. `Err` covers both I/O failures and
+/// malformed requests, a head or body past its cap included; the
+/// caller just drops the connection.
+pub fn read_request(stream: impl Read) -> io::Result<Request> {
+    let mut reader = BufReader::new(stream);
+    let mut head_left = MAX_HEAD;
+    let line = read_head_line(&mut reader, &mut head_left)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?.to_string();
     let target = parts.next().ok_or_else(|| bad("request line without target"))?;
@@ -75,8 +107,8 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
 
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let header = read_head_line(&mut reader, &mut head_left)?;
+        if header.is_empty() {
             return Err(bad("connection closed inside headers"));
         }
         let header = header.trim_end();
@@ -102,7 +134,7 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
 
 /// Writes `resp` and flushes. The connection is then done
 /// (`Connection: close`).
-pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
+pub fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         resp.status,
@@ -118,6 +150,7 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rem_integration::{check, Gen};
     use std::net::TcpListener;
 
     /// Runs one request/response cycle over a real socket pair.
@@ -163,6 +196,103 @@ mod tests {
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
         assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"));
+    }
+
+    /// A reader that counts the bytes taken from it.
+    struct Counted<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_line_past_its_cap_is_refused_after_one_buffer() {
+        // A 64 MiB request line with no newline, then a 64 MiB header
+        // line: each read stops one buffer past the line cap.
+        let buffer = 8 << 10; // `BufReader`'s capacity
+        let request_line = io::repeat(b'a').take(64 << 20);
+        let header_line = b"GET / HTTP/1.1\r\n".chain(io::repeat(b'h').take(64 << 20));
+        for (name, stream) in [
+            ("request", Box::new(request_line) as Box<dyn Read>),
+            ("header", Box::new(header_line)),
+        ] {
+            let mut counted = Counted { inner: stream, read: 0 };
+            let err = read_request(&mut counted).expect_err(name);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
+            assert!(counted.read <= MAX_LINE + buffer, "{name}: read {} bytes", counted.read);
+        }
+    }
+
+    #[test]
+    fn a_head_past_its_cap_is_refused() {
+        let header = format!("X-Pad: {}\r\n", "p".repeat(MAX_LINE / 2));
+        let n_fit = (MAX_HEAD - 64) / header.len();
+        let head = |n: usize| format!("GET /healthz HTTP/1.1\r\n{}\r\n", header.repeat(n));
+        let fits = head(n_fit);
+        assert!(fits.len() <= MAX_HEAD);
+        assert_eq!(read_request(fits.as_bytes()).expect("fits the cap").path, "/healthz");
+        let err = read_request(head(n_fit + 2).as_bytes()).expect_err("past the cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(err.to_string(), "request head too large");
+    }
+
+    #[test]
+    fn arbitrary_bytes_read_to_a_request_or_a_typed_error() {
+        // Nothing, or a well-formed request, with request fragments and
+        // random bytes spliced in and maybe cut short: inputs reach the
+        // headers, the Content-Length parse and the body as well as the
+        // request line, and some still parse.
+        const REQUESTS: [&str; 2] = [
+            "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            "POST /jobs?src=t HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+        ];
+        const PIECES: [&str; 8] = [
+            "\r\n",
+            "\n",
+            " ",
+            "Content-Length: ",
+            "content-length:9",
+            "18446744073709551616",
+            "\u{e9}",
+            "GET / HTTP/1.1",
+        ];
+        let bytes = |g: &mut Gen| {
+            let mut b = if g.bool() { g.pick(&REQUESTS).as_bytes().to_vec() } else { Vec::new() };
+            for _ in 0..g.range(0..4) {
+                let at = g.range(0..=b.len());
+                let piece = if g.bool() {
+                    g.pick(&PIECES).as_bytes().to_vec()
+                } else {
+                    g.vec(0..12, Gen::u8)
+                };
+                b.splice(at..at, piece);
+            }
+            if g.bool() {
+                b.truncate(g.range(0..=b.len()));
+            }
+            b
+        };
+        let mut requests = 0;
+        check("arbitrary_bytes_read_to_a_request_or_a_typed_error", 1024, bytes, |input| {
+            match read_request(&input[..]) {
+                Ok(req) => {
+                    assert!(req.body.len() <= MAX_BODY);
+                    requests += 1;
+                }
+                Err(e) => assert!(
+                    matches!(e.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
+                    "untyped error {e:?}"
+                ),
+            }
+        });
+        assert!(requests > 0, "no input parsed: the generator misses the Ok path");
     }
 
     #[test]

@@ -48,7 +48,8 @@ pub fn requested() -> bool {
 }
 
 /// Raises the flag programmatically — the in-process equivalent of
-/// SIGTERM, used by [`crate::Server::drain`] and by tests.
+/// SIGTERM. Only this module's test calls it: [`crate::Server::drain`]
+/// raises the server's own drain flag instead.
 pub fn trigger() {
     SHUTDOWN.store(true, Ordering::SeqCst)
 }

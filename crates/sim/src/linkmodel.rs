@@ -16,11 +16,18 @@
 //! * **ICI**: the Jakes second-order term, both waveforms.
 //! * The resulting effective SINR feeds the calibrated BLER waterfall
 //!   of [`rem_phy::link::bler_estimate`].
+//!
+//! A message's SINR is "draw, then evaluate": [`LinkDraw::new`] takes
+//! its random half off the link stream (the fading draw's uniforms),
+//! and [`LinkDraw::sinr_db`] is the pure rest. [`effective_sinr_db`]
+//! composes the two; a caller that may never read the SINR (the
+//! replay's BLER-before-failure window) keeps the draw and evaluates
+//! it later, with the stream advanced exactly as if it had not waited.
 
 use rand::Rng;
 use rem_channel::doppler::max_doppler_hz;
 use rem_channel::noise::ici_relative_power;
-use rem_num::rng::complex_gaussian;
+use rem_num::rng::{complex_gaussian_of, uniform_pair};
 use rem_num::stats::{db_to_lin, lin_to_db};
 use rem_num::{Complex64, SimRng};
 use rem_phy::link::bler_estimate;
@@ -53,26 +60,77 @@ impl Default for SignalingLinkCfg {
     }
 }
 
-/// Draws one fading power gain (linear, unit mean).
-fn fade_gain(cfg: &SignalingLinkCfg, rng: &mut SimRng) -> f64 {
+/// The random half of one message's effective SINR: what it draws from
+/// its link stream. [`LinkDraw::sinr_db`] is the pure half.
+#[derive(Clone, Copy, Debug)]
+pub enum LinkDraw {
+    /// OFDM: the uniform pairs of the message's fading draw.
+    Ofdm([(f64, f64); 2]),
+    /// OTFS spreads the message over the grid and sees the mean
+    /// channel: it draws nothing.
+    Otfs,
+}
+
+impl LinkDraw {
+    /// Draws the randomness of one `waveform` message from `rng`.
+    #[inline]
+    pub fn new(waveform: Waveform, rng: &mut SimRng) -> Self {
+        match waveform {
+            Waveform::Ofdm => Self::Ofdm([uniform_pair(rng), uniform_pair(rng)]),
+            Waveform::Otfs => Self::Otfs,
+        }
+    }
+
+    /// Effective post-receiver SINR (dB) of the message this draw
+    /// belongs to, on a link of `mean_snr_db` at `speed_ms` and
+    /// `carrier_hz`.
+    pub fn sinr_db(
+        self,
+        cfg: &SignalingLinkCfg,
+        mean_snr_db: f64,
+        speed_ms: f64,
+        carrier_hz: f64,
+    ) -> f64 {
+        let snr = db_to_lin(mean_snr_db);
+        let fd = max_doppler_hz(speed_ms, carrier_hz);
+        let ici = ici_relative_power(fd, T_SYM);
+        let sinr = match self {
+            Self::Ofdm(fading) => {
+                let faded = snr * fade_gain(cfg, fading);
+                // CSI-aging self-interference floor.
+                let phase = 2.0 * std::f64::consts::PI * fd * PILOT_PERIOD * T_SYM;
+                let aging = if phase > 0.0 { 3.0 / (phase * phase) } else { f64::INFINITY };
+                1.0 / (1.0 / faded.max(1e-12) + 1.0 / aging + ici)
+            }
+            Self::Otfs => {
+                // Grid-spread: sees the mean channel; small implementation loss.
+                let loss = db_to_lin(-cfg.otfs_loss_db);
+                1.0 / (1.0 / (snr * loss) + ici)
+            }
+        };
+        lin_to_db(sinr.max(1e-12)) + cfg.signaling_gain_db
+    }
+}
+
+/// One fading power gain (linear, unit mean) from the uniform pairs
+/// of its draw.
+fn fade_gain(cfg: &SignalingLinkCfg, pairs: [(f64, f64); 2]) -> f64 {
     match cfg.k_factor_db {
         None => {
             // Rayleigh: |CN(0,1)|^2 ~ Exp(1).
-            complex_gaussian(rng, 1.0).norm_sqr()
+            complex_gaussian_of(pairs, 1.0).norm_sqr()
         }
         Some(k_db) => {
             let k = db_to_lin(k_db);
             let los = (k / (k + 1.0)).sqrt();
-            let nlos = complex_gaussian(rng, 1.0 / (k + 1.0));
+            let nlos = complex_gaussian_of(pairs, 1.0 / (k + 1.0));
             (Complex64::from_real(los) + nlos).norm_sqr()
         }
     }
 }
 
-/// Effective post-receiver SINR (dB) of one signaling message.
-///
-/// Exposed separately from [`message_outcome`] so Fig 2b can histogram
-/// the SINR/BLER near failures.
+/// Effective post-receiver SINR (dB) of one signaling message: its
+/// draw from `rng`, evaluated at once.
 pub fn effective_sinr_db(
     cfg: &SignalingLinkCfg,
     mean_snr_db: f64,
@@ -81,24 +139,7 @@ pub fn effective_sinr_db(
     waveform: Waveform,
     rng: &mut SimRng,
 ) -> f64 {
-    let snr = db_to_lin(mean_snr_db);
-    let fd = max_doppler_hz(speed_ms, carrier_hz);
-    let ici = ici_relative_power(fd, T_SYM);
-    let sinr = match waveform {
-        Waveform::Ofdm => {
-            let faded = snr * fade_gain(cfg, rng);
-            // CSI-aging self-interference floor.
-            let phase = 2.0 * std::f64::consts::PI * fd * PILOT_PERIOD * T_SYM;
-            let aging = if phase > 0.0 { 3.0 / (phase * phase) } else { f64::INFINITY };
-            1.0 / (1.0 / faded.max(1e-12) + 1.0 / aging + ici)
-        }
-        Waveform::Otfs => {
-            // Grid-spread: sees the mean channel; small implementation loss.
-            let loss = db_to_lin(-cfg.otfs_loss_db);
-            1.0 / (1.0 / (snr * loss) + ici)
-        }
-    };
-    lin_to_db(sinr.max(1e-12)) + cfg.signaling_gain_db
+    LinkDraw::new(waveform, rng).sinr_db(cfg, mean_snr_db, speed_ms, carrier_hz)
 }
 
 /// Outcome of one message: `(delivered, effective_sinr_db, bler)`.
@@ -157,6 +198,32 @@ mod tests {
             .filter(|_| message_outcome(cfg, snr, speed, 2.6e9, wf, &mut rng).0)
             .count();
         ok as f64 / n as f64
+    }
+
+    #[test]
+    fn draw_then_evaluate_is_bit_identical_to_effective_sinr() {
+        // The BLER window keeps the draw and evaluates it later: both
+        // halves together must be the one-call SINR, bit for bit, and
+        // leave the stream where the one call leaves it.
+        let fading = [None, Some(8.0)];
+        for (k_factor_db, waveform) in
+            fading.into_iter().flat_map(|k| [(k, Waveform::Ofdm), (k, Waveform::Otfs)])
+        {
+            let cfg = SignalingLinkCfg { k_factor_db, ..Default::default() };
+            let (mut whole, mut split) = (rng_from_seed(8), rng_from_seed(8));
+            for snr in [-12.0, -2.5, 0.0, 7.0, 40.0] {
+                for speed in [0.0, kmh_to_ms(120.0), kmh_to_ms(350.0)] {
+                    for carrier in [8e8, 1.9e9, 2.6e9, 3.5e9] {
+                        let want =
+                            effective_sinr_db(&cfg, snr, speed, carrier, waveform, &mut whole);
+                        let draw = LinkDraw::new(waveform, &mut split);
+                        let got = draw.sinr_db(&cfg, snr, speed, carrier);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{cfg:?} {waveform:?}");
+                    }
+                }
+            }
+            assert_eq!(whole.gen::<u64>(), split.gen::<u64>(), "{cfg:?} {waveform:?}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use crate::dataset::DatasetSpec;
 use crate::deployment::Deployment;
-use crate::linkmodel::{deliver_with_harq, effective_sinr_db, SignalingLinkCfg};
+use crate::linkmodel::{deliver_with_harq, LinkDraw, SignalingLinkCfg};
 use crate::metrics::{detect_loops, FailureRecord, HandoverRecord, RunMetrics};
 use crate::radio::{CellRadio, RadioEnv, ShadowingCfg};
 use crate::trace::SignalingEvent;
@@ -547,9 +547,9 @@ struct PlaneState<'c> {
     last_msg_failure: Option<MsgFailure>,
     /// No events are evaluated before this (post-handover settling).
     guard_until_ms: f64,
-    /// Serving-link `(t, uplink, downlink)` BLER over the last 5 s,
-    /// kept for Fig 2b.
-    bler_window: VecDeque<(f64, f64, f64)>,
+    /// The serving link over the last 5 s, kept for Fig 2b's BLER
+    /// before failure.
+    bler_window: VecDeque<LinkSample>,
     plan: FaultPlan,
     /// X2 endpoint state: one client, so target-side admission control
     /// is modeled as a single shared pool, released as attempts resolve.
@@ -636,9 +636,9 @@ impl<'c> PlaneState<'c> {
         }
     }
 
-    /// One connected epoch: sample the serving link's BLER, run the RLF
-    /// timer, evaluate the measurement events and start a handover
-    /// attempt when one fires.
+    /// One connected epoch: sample the serving link, run the RLF timer,
+    /// evaluate the measurement events and start a handover attempt
+    /// when one fires.
     fn connected(&mut self, e: &Epoch, serving: CellId, forced_hole: bool) {
         let (t, cfg) = (e.t, self.cfg);
         // The serving link's SINR and carrier, when the cell is heard.
@@ -646,22 +646,14 @@ impl<'c> PlaneState<'c> {
             .zip(e.deployment.cell(serving))
             .map(|(r, c)| (r.snr_db, c.carrier_hz));
 
-        // --- BLER window sample (serving link, both directions).
+        // --- BLER window sample (serving link, both directions): the
+        // draws are taken now, their BLER only if a failure reads them.
         if let Some((snr_db, carrier_hz)) = link {
-            let mut bler = || {
-                let sinr = effective_sinr_db(
-                    &cfg.link,
-                    snr_db,
-                    e.speed_ms,
-                    carrier_hz,
-                    self.waveform,
-                    &mut self.link_rng,
-                );
-                bler_estimate(sinr, Modulation::Qpsk)
-            };
-            let (ul, dl) = (bler(), bler());
-            self.bler_window.push_back((t, ul, dl));
-            while self.bler_window.front().is_some_and(|(wt, _, _)| t - wt > 5_000.0) {
+            let ul = LinkDraw::new(self.waveform, &mut self.link_rng);
+            let dl = LinkDraw::new(self.waveform, &mut self.link_rng);
+            let speed_ms = e.speed_ms;
+            self.bler_window.push_back(LinkSample { t, snr_db, carrier_hz, speed_ms, ul, dl });
+            while self.bler_window.front().is_some_and(|w| t - w.t > 5_000.0) {
                 self.bler_window.pop_front();
             }
         }
@@ -742,8 +734,14 @@ impl<'c> PlaneState<'c> {
                 classified: cause,
             });
         }
-        self.metrics.bler_before_failure_ul.extend(self.bler_window.iter().map(|w| w.1));
-        self.metrics.bler_before_failure_dl.extend(self.bler_window.iter().map(|w| w.2));
+        for w in &self.bler_window {
+            let bler = |d: LinkDraw| {
+                let sinr = d.sinr_db(&self.cfg.link, w.snr_db, w.speed_ms, w.carrier_hz);
+                bler_estimate(sinr, Modulation::Qpsk)
+            };
+            self.metrics.bler_before_failure_ul.push(bler(w.ul));
+            self.metrics.bler_before_failure_dl.push(bler(w.dl));
+        }
         self.record(SignalingEvent::RadioLinkFailure { t_ms: t, serving, cause });
         self.state = UeState::Outage(Outage::scan(t, cause, t));
         self.below_since = None;
@@ -1185,6 +1183,19 @@ impl<'c> PlaneState<'c> {
         );
         self.metrics
     }
+}
+
+/// One connected epoch's serving link, kept in the BLER window: its
+/// mean SNR, carrier and speed, and the uplink and downlink messages'
+/// draws. The BLER is evaluated only when a radio-link failure reads
+/// the window.
+struct LinkSample {
+    t: f64,
+    snr_db: f64,
+    carrier_hz: f64,
+    speed_ms: f64,
+    ul: LinkDraw,
+    dl: LinkDraw,
 }
 
 /// The radio state of `cell` in an observation sorted by `CellId`.

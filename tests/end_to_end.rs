@@ -103,6 +103,9 @@ fn faulted_traced_runs_are_pinned() {
         cfg.record_trace = true;
         let m = simulate_run(&cfg);
         assert_eq!(digest_of(&m), want, "{plane:?}");
+        // The pin covers the BLER window's evaluation at a failure.
+        assert!(!m.bler_before_failure_ul.is_empty(), "{plane:?}: no BLER before failure");
+        assert!(!m.bler_before_failure_dl.is_empty(), "{plane:?}: no BLER before failure");
         let expected = FaultKind::all().into_iter();
         for kind in expected.filter(|&k| plane == Plane::Legacy || k != FaultKind::MaskCell) {
             assert!(
