@@ -17,9 +17,9 @@
 //! * The resulting effective SINR feeds the calibrated BLER waterfall
 //!   of [`rem_phy::link::bler_estimate`].
 //!
-//! A message's SINR is "draw, then evaluate": [`LinkDraw::new`] takes
+//! A message's SINR is "draw, then evaluate": `LinkDraw::new` takes
 //! its random half off the link stream (the fading draw's uniforms),
-//! and [`LinkDraw::sinr_db`] is the pure rest. [`effective_sinr_db`]
+//! and `LinkDraw::sinr_db` is the pure rest. [`effective_sinr_db`]
 //! composes the two; a caller that may never read the SINR (the
 //! replay's BLER-before-failure window) keeps the draw and evaluates
 //! it later, with the stream advanced exactly as if it had not waited.
@@ -63,7 +63,7 @@ impl Default for SignalingLinkCfg {
 /// The random half of one message's effective SINR: what it draws from
 /// its link stream. [`LinkDraw::sinr_db`] is the pure half.
 #[derive(Clone, Copy, Debug)]
-pub enum LinkDraw {
+pub(crate) enum LinkDraw {
     /// OFDM: the uniform pairs of the message's fading draw.
     Ofdm([(f64, f64); 2]),
     /// OTFS spreads the message over the grid and sees the mean
@@ -74,7 +74,7 @@ pub enum LinkDraw {
 impl LinkDraw {
     /// Draws the randomness of one `waveform` message from `rng`.
     #[inline]
-    pub fn new(waveform: Waveform, rng: &mut SimRng) -> Self {
+    pub(crate) fn new(waveform: Waveform, rng: &mut SimRng) -> Self {
         match waveform {
             Waveform::Ofdm => Self::Ofdm([uniform_pair(rng), uniform_pair(rng)]),
             Waveform::Otfs => Self::Otfs,
@@ -84,7 +84,7 @@ impl LinkDraw {
     /// Effective post-receiver SINR (dB) of the message this draw
     /// belongs to, on a link of `mean_snr_db` at `speed_ms` and
     /// `carrier_hz`.
-    pub fn sinr_db(
+    pub(crate) fn sinr_db(
         self,
         cfg: &SignalingLinkCfg,
         mean_snr_db: f64,
