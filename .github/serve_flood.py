@@ -10,6 +10,8 @@ submits the scenario while the flood is in flight, and checks that:
 
 - 20 connections that send half a request line and hold it do not
   stop the service;
+- a connection that sends a header a byte a second is closed within
+  the service's 10 s request deadline plus 3 s;
 - a header line of 8 MiB with no newline sees its connection closed
   before the client has sent 1 MiB;
 - a POST whose Content-Length is past the body cap (1 MiB) is closed
@@ -25,6 +27,7 @@ connections: it tests the service's caps, not the host's.
 
 import http.client
 import json
+import select
 import socket
 import sys
 import threading
@@ -37,6 +40,9 @@ HOLD_S = 8.0
 BOMB_BYTES = 8 << 20
 BOMB_LIMIT = 1 << 20
 HEALTH_DEADLINE_S = 2.0
+# The service's whole-request deadline, and the slack on its close.
+REQUEST_DEADLINE_S = 10.0
+TRICKLE_SLACK_S = 3.0
 JOB_DEADLINE_S = 300.0
 
 
@@ -109,6 +115,30 @@ def header_bomb(addr, out):
     out["sent"] = sent
 
 
+def trickle(addr, out):
+    """Sends a header a byte a second; records when the service closed."""
+    s = socket.create_connection(addr, timeout=5)
+    t0 = time.monotonic()
+    limit = REQUEST_DEADLINE_S + TRICKLE_SLACK_S
+    try:
+        s.sendall(b"GET /healthz HTTP/1.1\r\nX-Slow: ")
+        while time.monotonic() - t0 < limit:
+            readable, _, _ = select.select([s], [], [], 1.0)
+            if readable and not s.recv(4096):
+                out["closed_s"] = time.monotonic() - t0
+                return
+            s.sendall(b"s")
+    except (BrokenPipeError, ConnectionResetError):
+        out["closed_s"] = time.monotonic() - t0
+        return
+    except OSError as e:
+        out["error"] = repr(e)
+        return
+    finally:
+        s.close()
+    out["open_s"] = time.monotonic() - t0
+
+
 def main():
     if len(sys.argv) != 4:
         fail("usage: serve_flood.py <host:port> <scenario.toml> <reference-hash-file>")
@@ -131,6 +161,10 @@ def main():
     bomb = {}
     bomber = threading.Thread(target=header_bomb, args=(addr, bomb), daemon=True)
     bomber.start()
+
+    slow = {}
+    trickler = threading.Thread(target=trickle, args=(addr, slow), daemon=True)
+    trickler.start()
 
     # A body past the cap: the service drops the connection unanswered.
     s = socket.create_connection(addr, timeout=5)
@@ -174,6 +208,10 @@ def main():
     if bomb["sent"] >= BOMB_LIMIT:
         fail(f"header bomb: {bomb['sent']} bytes sent before the close, want < {BOMB_LIMIT}")
 
+    trickler.join(timeout=REQUEST_DEADLINE_S + TRICKLE_SLACK_S + 10)
+    if "closed_s" not in slow:
+        fail(f"trickled header: want the connection closed, got {slow}")
+
     time.sleep(max(0.0, HOLD_S - (time.monotonic() - t_open)))
     for s in loris:
         s.close()
@@ -188,7 +226,8 @@ def main():
 
     print(
         f"serve_flood: ok: {LORIS} held connections, header bomb closed after "
-        f"{bomb['sent']} bytes, oversized POST dropped, nested scenario 400, "
+        f"{bomb['sent']} bytes, trickled header closed after {slow['closed_s']:.1f} s, "
+        f"oversized POST dropped, nested scenario 400, "
         f"job {job_id} {job['result_hash']}, /healthz {health.polls} polls, "
         f"slowest {health.worst_s * 1e3:.0f} ms"
     )

@@ -11,10 +11,13 @@
 //! Every part of a request is bounded before it is buffered: a head
 //! line by [`MAX_LINE`], the whole head by [`MAX_HEAD`] and the body by
 //! [`MAX_BODY`], so reading one request buffers at most their sum plus
-//! one read buffer.
+//! one read buffer. Reading it is bounded in time too: each read waits
+//! at most `READ_IDLE` (5 s), and the whole request must arrive within
+//! `REQUEST_DEADLINE` (10 s) of its accept.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Longest accepted request line or header line, line ending included.
 pub const MAX_LINE: usize = 8 << 10;
@@ -26,6 +29,50 @@ pub const MAX_HEAD: usize = 32 << 10;
 /// Largest accepted request body (a scenario TOML is ~1 KiB; this is
 /// generous while still bounding a misbehaving client).
 pub const MAX_BODY: usize = 1 << 20;
+
+/// Longest a whole request may take to arrive, from accept to the last
+/// byte of its body. Without it a client sending a byte every few
+/// seconds would hold its connection until [`MAX_HEAD`] ran out.
+pub(crate) const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Longest any one read of a request may wait for data.
+pub(crate) const READ_IDLE: Duration = Duration::from_secs(5);
+
+/// A socket read under a whole-request deadline: each read waits at
+/// most [`READ_IDLE`] and never past the deadline, and a read past the
+/// deadline fails with `TimedOut`.
+pub(crate) struct Deadline<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl<'a> Deadline<'a> {
+    /// Reads `stream` until `at`.
+    pub(crate) fn new(stream: &'a TcpStream, at: Instant) -> Self {
+        Self { stream, at }
+    }
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let timed_out = || io::Error::new(io::ErrorKind::TimedOut, "request deadline passed");
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(timed_out());
+        }
+        self.stream.set_read_timeout(Some(left.min(READ_IDLE)))?;
+        match self.stream.read(buf) {
+            // The socket's timeout reads as `WouldBlock` on Unix.
+            Err(e)
+                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+                    && Instant::now() >= self.at =>
+            {
+                Err(timed_out())
+            }
+            read => read,
+        }
+    }
+}
 
 /// One parsed request.
 #[derive(Clone, Debug)]
@@ -293,6 +340,48 @@ mod tests {
             }
         });
         assert!(requests > 0, "no input parsed: the generator misses the Ok path");
+    }
+
+    #[test]
+    fn a_trickled_request_is_refused_at_its_deadline() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickling = stop.clone();
+        // One header byte every 50 ms: each read gets data long before
+        // the idle limit, so only the deadline ends the request.
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET /healthz HTTP/1.1\r\nX-Slow: ").unwrap();
+            while !trickling.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(50));
+                if s.write_all(b"s").is_err() {
+                    break;
+                }
+            }
+        });
+        let (server_side, _) = listener.accept().unwrap();
+        let t0 = Instant::now();
+        let budget = Duration::from_millis(400);
+        let err = read_request(Deadline::new(&server_side, t0 + budget)).expect_err("trickled");
+        let took = t0.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(took >= budget && took < budget + Duration::from_secs(1), "took {took:?}");
+        drop(server_side);
+        client.join().unwrap();
+
+        // A request sent at once still parses under the same deadline.
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\nok").unwrap();
+        });
+        let (server_side, _) = listener.accept().unwrap();
+        let req = read_request(Deadline::new(&server_side, Instant::now() + budget)).unwrap();
+        assert_eq!((req.path.as_str(), req.body.as_slice()), ("/jobs", &b"ok"[..]));
+        client.join().unwrap();
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! in-flight job from its checkpoint and produces `--hash`-identical
 //! results.
 
-use crate::http::{read_request, write_response, Request, Response};
+use crate::http::{read_request, write_response, Deadline, Request, Response, REQUEST_DEADLINE};
 use crate::queue::{JobQueue, JobState, QueueConfig, SubmitError};
 use crate::signal;
 use crate::stats::ServeStats;
@@ -31,7 +31,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Service configuration (one `rem serve` invocation).
 #[derive(Clone, Debug)]
@@ -241,8 +241,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         match listener.accept() {
             Ok((stream, _)) => {
+                let deadline = Instant::now() + REQUEST_DEADLINE;
                 let shared = shared.clone();
-                std::thread::spawn(move || handle_connection(stream, &shared));
+                std::thread::spawn(move || handle_connection(stream, deadline, &shared));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(50));
@@ -252,9 +253,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let Ok(req) = read_request(&mut stream) else { return };
+/// Serves one request that must arrive by `deadline`.
+fn handle_connection(mut stream: TcpStream, deadline: Instant, shared: &Shared) {
+    let Ok(req) = read_request(Deadline::new(&stream, deadline)) else { return };
     let resp = route(&req, shared);
     let _ = write_response(&mut stream, &resp);
 }

@@ -93,26 +93,6 @@ impl Deployment {
         self.sites.iter().map(|s| s.cells.len()).sum()
     }
 
-    /// Looks up a cell.
-    pub fn cell(&self, id: CellId) -> Option<&Cell> {
-        self.site_of(id)?.cells.iter().find(|c| c.id == id)
-    }
-
-    /// Looks up a cell's site.
-    ///
-    /// [`DeploymentSpec::generate`] numbers cells consecutively in site
-    /// order, so a binary search on each site's first cell id finds the
-    /// host; a deployment numbered otherwise falls back to a scan.
-    pub fn site_of(&self, id: CellId) -> Option<&Site> {
-        let hosts = |s: &&Site| s.cells.iter().any(|c| c.id == id);
-        let after = self.sites.partition_point(|s| s.cells.first().is_none_or(|c| c.id <= id));
-        after
-            .checked_sub(1)
-            .map(|i| &self.sites[i])
-            .filter(hosts)
-            .or_else(|| self.sites.iter().find(hosts))
-    }
-
     /// 2-D distance from track position `x_m` to the site (m).
     pub fn distance_to_site(&self, site: &Site, x_m: f64) -> f64 {
         ((x_m - site.along_m).powi(2) + site.lateral_m.powi(2)).sqrt()
@@ -132,6 +112,56 @@ impl Deployment {
         let cosited: usize =
             self.sites.iter().filter(|s| s.cells.len() > 1).map(|s| s.cells.len()).sum();
         cosited as f64 / total as f64
+    }
+}
+
+/// What a replay reads of one cell, per epoch, by its id.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct CellFacts {
+    /// Frequency.
+    pub(crate) earfcn: Earfcn,
+    /// Carrier in Hz.
+    pub(crate) carrier_hz: f64,
+    /// The hosting site.
+    pub(crate) site: BaseStationId,
+    /// The site's representative: its lowest cell id.
+    pub(crate) representative: CellId,
+}
+
+/// A deployment's cells, dense by `CellId`: built once per replay, so
+/// the epoch loop finds a cell's facts by indexing instead of searching
+/// the sites. A cell id hosted twice keeps its first host in site order.
+pub(crate) struct CellIndex(Vec<Option<CellFacts>>);
+
+impl CellIndex {
+    /// The index of `deployment`'s cells.
+    pub(crate) fn new(deployment: &Deployment) -> Self {
+        let len = deployment.cells().map(|c| c.id.0 as usize + 1).max().unwrap_or(0);
+        let mut cells = vec![None; len];
+        for site in &deployment.sites {
+            let Some(representative) = site.cells.iter().map(|c| c.id).min() else { continue };
+            for c in &site.cells {
+                cells[c.id.0 as usize].get_or_insert(CellFacts {
+                    earfcn: c.earfcn,
+                    carrier_hz: c.carrier_hz,
+                    site: site.id,
+                    representative,
+                });
+            }
+        }
+        Self(cells)
+    }
+
+    /// One past the highest cell id: the length of a vector of
+    /// per-cell state indexed by cell id.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The facts of cell `id`; `None` when the deployment has no such
+    /// cell.
+    pub(crate) fn get(&self, id: CellId) -> Option<&CellFacts> {
+        self.0.get(id.0 as usize)?.as_ref()
     }
 }
 
@@ -303,48 +333,81 @@ mod tests {
         assert!(!d.in_hole(-1.0));
     }
 
+    /// The facts of cell `id` by a linear scan of the sites: the
+    /// lookup [`CellIndex`] replaces.
+    fn scan(d: &Deployment, id: CellId) -> Option<CellFacts> {
+        let site = d.sites.iter().find(|s| s.cells.iter().any(|c| c.id == id))?;
+        let cell = site.cells.iter().find(|c| c.id == id)?;
+        Some(CellFacts {
+            earfcn: cell.earfcn,
+            carrier_hz: cell.carrier_hz,
+            site: site.id,
+            representative: site.cells.iter().map(|c| c.id).min()?,
+        })
+    }
+
+    /// Every id from 0 to past the highest, and the largest one, looks
+    /// up in the index as in the scan.
+    fn assert_index_matches_scan(d: &Deployment, what: &str) {
+        let index = CellIndex::new(d);
+        let top = d.cells().map(|c| c.id.0).max().expect("the deployment has cells");
+        assert_eq!(index.len(), top as usize + 1, "{what}");
+        for id in (0..top + 4).chain([u32::MAX]).map(CellId) {
+            assert_eq!(index.get(id).copied(), scan(d, id), "{what}: {id:?}");
+        }
+    }
+
     #[test]
     fn lookup_functions() {
         let d = gen();
-        let c = *d.cells().next().unwrap();
-        assert_eq!(d.cell(c.id), Some(&c));
-        assert_eq!(d.site_of(c.id).unwrap().id, c.bs);
-        assert!(d.cell(CellId(999_999)).is_none());
-    }
-
-    /// The lookups `cell` and `site_of` replaced.
-    fn scan_cell(d: &Deployment, id: CellId) -> Option<&Cell> {
-        d.cells().find(|c| c.id == id)
-    }
-
-    fn scan_site(d: &Deployment, id: CellId) -> Option<&Site> {
-        d.sites.iter().find(|s| s.cells.iter().any(|c| c.id == id))
+        let index = CellIndex::new(&d);
+        let site = d.sites.iter().find(|s| s.cells.len() > 1).expect("a co-sited site");
+        let c = site.cells[1];
+        let facts = index.get(c.id).expect("a deployed cell");
+        assert_eq!((facts.earfcn, facts.carrier_hz), (c.earfcn, c.carrier_hz));
+        assert_eq!((facts.site, facts.representative), (c.bs, site.cells[0].id));
+        assert!(index.get(CellId(999_999)).is_none());
     }
 
     #[test]
     fn lookups_agree_with_a_linear_scan() {
-        let d = gen();
-        let n = d.num_cells() as u32;
-        for id in (0..n + 3).map(CellId) {
-            assert_eq!(d.cell(id), scan_cell(&d, id), "{id:?}");
-            assert_eq!(d.site_of(id), scan_site(&d, id), "{id:?}");
-            assert_eq!(d.cell(id).is_some(), id.0 < n, "{id:?}");
+        use crate::dataset::DatasetSpec;
+        let families = [
+            DatasetSpec::beijing_taiyuan(30.0, 300.0),
+            DatasetSpec::beijing_shanghai(30.0, 300.0),
+            DatasetSpec::la_driving(12.0, 100.0),
+            DatasetSpec::nr_smallcell(6.0, 120.0),
+        ];
+        for spec in families {
+            let d = spec.deployment.generate(&mut rng_from_seed(3));
+            assert!(d.sites.iter().any(|s| s.cells.len() > 1), "{}: no co-sited cells", spec.name);
+            // Consecutive numbering: every id up to the last is a cell.
+            let index = CellIndex::new(&d);
+            let n = d.num_cells() as u32;
+            assert!((0..n).all(|id| index.get(CellId(id)).is_some()), "{}", spec.name);
+            assert_index_matches_scan(&d, &spec.name);
         }
-        assert!(d.site_of(CellId(u32::MAX)).is_none());
 
-        // Ids out of site order (and a site without cells) still resolve.
-        let mut shuffled = d.clone();
-        shuffled.sites.truncate(6);
-        shuffled.sites.swap(1, 4);
+        // Shuffled numbering: ids out of site order, spread out with
+        // gaps and reversed within a site, and a site without cells.
+        let mut shuffled = gen();
+        shuffled.sites.truncate(40);
+        let n = shuffled.num_cells() as u32;
+        let mut ids: Vec<u32> = (0..n).map(|i| 3 * i + 1).collect();
+        let mut rng = rng_from_seed(4);
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.gen_range(0..=i));
+        }
+        let mut ids = ids.into_iter();
+        for site in &mut shuffled.sites {
+            for cell in &mut site.cells {
+                cell.id = CellId(ids.next().expect("one id per cell"));
+            }
+        }
+        shuffled.sites.swap(1, 30);
         shuffled.sites[2].cells.clear();
         shuffled.sites[3].cells.reverse();
-        let ids: Vec<CellId> =
-            d.sites[..6].iter().flat_map(|s| s.cells.iter().map(|c| c.id)).collect();
-        for id in ids {
-            assert_eq!(shuffled.cell(id), scan_cell(&shuffled, id), "{id:?}");
-            assert_eq!(shuffled.site_of(id), scan_site(&shuffled, id), "{id:?}");
-        }
-        assert!(shuffled.cell(CellId(n)).is_none());
+        assert_index_matches_scan(&shuffled, "shuffled");
     }
 
     #[test]

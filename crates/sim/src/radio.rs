@@ -125,8 +125,11 @@ impl RadioEnv {
     }
 
     /// Advances the client to `pos_m` and returns the radio state of
-    /// every cell within `max_range_m` of the client, sorted by
-    /// descending RSRP.
+    /// every cell within `max_range_m` of the client, in observation
+    /// order: sites in track order, and within a site its cells in
+    /// order. That is `CellId` order for every deployment
+    /// [`DeploymentSpec::generate`](crate::deployment::DeploymentSpec::generate)
+    /// numbers.
     pub fn observe(&mut self, pos_m: f64, max_range_m: f64, rng: &mut SimRng) -> Vec<CellRadio> {
         let mut out = Vec::new();
         self.observe_into(pos_m, max_range_m, rng, &mut out);
@@ -189,7 +192,6 @@ impl RadioEnv {
             let sinr = rsrp - 10.0 * (self.noise_lin + interference).log10();
             out.push(CellRadio { cell: id, rsrp_dbm: rsrp, snr_db: sinr });
         }
-        out.sort_by(|a, b| b.rsrp_dbm.partial_cmp(&a.rsrp_dbm).expect("RSRP is not NaN"));
     }
 }
 
@@ -273,7 +275,6 @@ mod tests {
                 let sinr = rsrp - 10.0 * (noise_lin + interference).log10();
                 out.push(CellRadio { cell: id, rsrp_dbm: rsrp, snr_db: sinr });
             }
-            out.sort_by(|a, b| b.rsrp_dbm.partial_cmp(&a.rsrp_dbm).unwrap());
             out
         }
     }
@@ -319,6 +320,11 @@ mod tests {
                 env.observe_into(pos, RANGE_M, &mut got_rng, &mut got);
                 let want = reference.observe(pos, RANGE_M, &mut want_rng);
                 assert_eq!(bits(&got), bits(&want), "{} at {pos} m", spec.name);
+                assert!(
+                    got.is_sorted_by_key(|c| c.cell),
+                    "{} at {pos} m: not in CellId order",
+                    spec.name
+                );
                 if beyond.contains(&pos) {
                     assert!(got.is_empty(), "{}: a site in range at {pos} m", spec.name);
                 }
@@ -334,6 +340,13 @@ mod tests {
         RadioEnv::new(d, ShadowingCfg::default())
     }
 
+    /// An observation sorted by descending RSRP, ties in observation
+    /// order.
+    fn by_rsrp(mut obs: Vec<CellRadio>) -> Vec<CellRadio> {
+        obs.sort_by(|a, b| b.rsrp_dbm.total_cmp(&a.rsrp_dbm));
+        obs
+    }
+
     #[test]
     fn noise_floor_values() {
         let e = env();
@@ -347,9 +360,14 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let obs = e.observe(5_000.0, 5_000.0, &mut rng);
         assert!(obs.len() >= 3);
-        for w in obs.windows(2) {
-            assert!(w[0].rsrp_dbm >= w[1].rsrp_dbm);
-        }
+        let in_site_order: Vec<CellId> = e
+            .deployment()
+            .cells()
+            .map(|c| c.id)
+            .filter(|&id| obs.iter().any(|c| c.cell == id))
+            .collect();
+        assert_eq!(obs.iter().map(|c| c.cell).collect::<Vec<_>>(), in_site_order);
+        let obs = by_rsrp(obs);
         // Best cell should be in the dataset RSRP range (Table 4).
         assert!((-136.0..-59.0).contains(&obs[0].rsrp_dbm), "rsrp={}", obs[0].rsrp_dbm);
     }
@@ -360,8 +378,9 @@ mod tests {
         let mut rng = rng_from_seed(3);
         let site_pos = e.deployment().sites[5].along_m;
         let site_id = e.deployment().sites[5].id;
-        let obs = e.observe(site_pos, 4_000.0, &mut rng);
-        let best_site = e.deployment().site_of(obs[0].cell).unwrap().id;
+        let obs = by_rsrp(e.observe(site_pos, 4_000.0, &mut rng));
+        let hosts = |s: &&crate::deployment::Site| s.cells.iter().any(|c| c.id == obs[0].cell);
+        let best_site = e.deployment().sites.iter().find(hosts).unwrap().id;
         // With modest shadowing the serving site is the nearest one
         // (allow the immediate neighbours as shadowing can flip order).
         let diff = (best_site.0 as i64 - site_id.0 as i64).abs();
@@ -397,8 +416,8 @@ mod tests {
             return; // this seed produced no holes
         };
         let mid = (h.start_m + h.end_m) / 2.0;
-        let inside = e.observe(mid, 4_000.0, &mut rng);
-        let outside = e.observe(h.end_m + 2_000.0, 4_000.0, &mut rng);
+        let inside = by_rsrp(e.observe(mid, 4_000.0, &mut rng));
+        let outside = by_rsrp(e.observe(h.end_m + 2_000.0, 4_000.0, &mut rng));
         if let (Some(i), Some(o)) = (inside.first(), outside.first()) {
             assert!(i.rsrp_dbm < o.rsrp_dbm - 20.0, "in={} out={}", i.rsrp_dbm, o.rsrp_dbm);
         }
@@ -427,7 +446,7 @@ mod tests {
             (d.sites[8].along_m, d.sites[9].along_m)
         };
         let mid = (a + b) / 2.0;
-        let obs = e.observe(mid, 4_000.0, &mut rng);
+        let obs = by_rsrp(e.observe(mid, 4_000.0, &mut rng));
         let best = obs[0];
         assert!((-10.0..12.0).contains(&best.snr_db), "sinr={}", best.snr_db);
     }

@@ -38,7 +38,7 @@
 //!    and an outage runs until re-establishment.
 
 use crate::dataset::DatasetSpec;
-use crate::deployment::Deployment;
+use crate::deployment::{CellIndex, Deployment};
 use crate::linkmodel::{deliver_with_harq, LinkDraw, SignalingLinkCfg};
 use crate::metrics::{detect_loops, FailureRecord, HandoverRecord, RunMetrics};
 use crate::radio::{CellRadio, RadioEnv, ShadowingCfg};
@@ -227,8 +227,7 @@ pub fn simulate_run(cfg: &RunConfig) -> RunMetrics {
 /// plane's metrics equal [`simulate_run`] of `cfg` with that plane.
 pub fn simulate_planes<const N: usize>(cfg: &RunConfig, planes: [Plane; N]) -> [RunMetrics; N] {
     let mut env = EnvStream::new(&cfg.spec, cfg.seed);
-    let mut states =
-        planes.map(|plane| PlaneState::new(cfg, plane, env.radio.deployment(), env.strongest()));
+    let mut states = planes.map(|plane| PlaneState::new(cfg, plane, &env.cells, env.attach));
     while let Some(epoch) = env.next_epoch() {
         for state in &mut states {
             state.step(&epoch);
@@ -242,13 +241,15 @@ pub fn simulate_planes<const N: usize>(cfg: &RunConfig, planes: [Plane; N]) -> [
 /// and [`RadioEnv::observe_into`] draw from its `environment` stream.
 struct EnvStream {
     radio: RadioEnv,
+    /// The deployment's cells by id, built once.
+    cells: CellIndex,
     rng: SimRng,
     trajectory: Trajectory,
     duration_ms: f64,
     /// Start of the next epoch (ms).
     t: f64,
-    /// The latest observation, by descending RSRP.
-    by_rsrp: Vec<CellRadio>,
+    /// The initial attach: the strongest cell at the route start.
+    attach: Option<CellId>,
     /// One observation per epoch over the last second, each sorted by
     /// `CellId`. Slots are recycled once the ring is full, so the
     /// stream stops allocating after its first second.
@@ -263,23 +264,19 @@ impl EnvStream {
         let deployment = spec.deployment.generate(&mut rng);
         let shadowing =
             ShadowingCfg { sigma_db: spec.shadow_sigma_db, d_corr_m: spec.shadow_dcorr_m };
+        let cells = CellIndex::new(&deployment);
         let mut radio = RadioEnv::new(deployment, shadowing);
-        let mut by_rsrp = Vec::new();
-        radio.observe_into(0.0, RANGE_M, &mut rng, &mut by_rsrp);
+        let first = radio.observe(0.0, RANGE_M, &mut rng);
         Self {
             radio,
+            cells,
             rng,
             trajectory: spec.trajectory(),
             duration_ms: spec.duration_s() * 1e3,
             t: 0.0,
-            by_rsrp,
+            attach: strongest(&first, |_| true).map(|c| c.cell),
             history: VecDeque::with_capacity(HISTORY_LEN),
         }
-    }
-
-    /// The strongest cell of the latest observation.
-    fn strongest(&self) -> Option<CellId> {
-        self.by_rsrp.first().map(|c| c.cell)
     }
 
     /// Advances the client by one epoch and observes every cell in
@@ -291,15 +288,17 @@ impl EnvStream {
         }
         self.t += EPOCH_MS;
         let (pos_m, speed_ms) = self.trajectory.state_at(t / 1e3);
-        self.radio.observe_into(pos_m, RANGE_M, &mut self.rng, &mut self.by_rsrp);
         let mut slot = if self.history.len() == HISTORY_LEN {
             self.history.pop_front().expect("the history is full").1
         } else {
             Vec::new()
         };
-        slot.clear();
-        slot.extend_from_slice(&self.by_rsrp);
-        slot.sort_unstable_by_key(|c| c.cell);
+        self.radio.observe_into(pos_m, RANGE_M, &mut self.rng, &mut slot);
+        // Observation order is `CellId` order on every generated
+        // deployment; only a hand-numbered one needs the sort.
+        if !slot.is_sorted_by_key(|c| c.cell) {
+            slot.sort_unstable_by_key(|c| c.cell);
+        }
         self.history.push_back((t, slot));
         let history = &self.history;
         Some(Epoch {
@@ -307,7 +306,7 @@ impl EnvStream {
             pos_m,
             speed_ms,
             deployment: self.radio.deployment(),
-            by_rsrp: &self.by_rsrp,
+            cells: &self.cells,
             now: &history.back().expect("pushed above").1,
             history,
         })
@@ -320,21 +319,36 @@ struct Epoch<'a> {
     pos_m: f64,
     speed_ms: f64,
     deployment: &'a Deployment,
-    /// This epoch's observation, by descending RSRP.
-    by_rsrp: &'a [CellRadio],
+    cells: &'a CellIndex,
     /// This epoch's observation, sorted by `CellId`.
     now: &'a [CellRadio],
+    /// The observations of the last second, one per epoch, `EPOCH_MS`
+    /// apart and ending with this epoch's.
     history: &'a VecDeque<(f64, Vec<CellRadio>)>,
 }
 
 impl<'a> Epoch<'a> {
     /// The latest observation at least `delay_ms` old (the oldest one
     /// kept while the run is younger than that), sorted by `CellId`.
+    ///
+    /// Observations are `EPOCH_MS` apart, so the answer is normally
+    /// `ceil(delay_ms / EPOCH_MS)` slots back; the search starts there
+    /// and steps to the newest slot at or before `t - delay_ms`.
     fn stale(&self, delay_ms: f64) -> &'a [CellRadio] {
+        let h = self.history;
         let cutoff = self.t - delay_ms;
-        let (_, slot) =
-            self.history.iter().rev().find(|(ht, _)| *ht <= cutoff).unwrap_or(&self.history[0]);
-        slot
+        let due = |i: usize| h[i].0 <= cutoff;
+        let mut i = (h.len() - 1).saturating_sub((delay_ms / EPOCH_MS).ceil() as usize);
+        if due(i) {
+            while i + 1 < h.len() && due(i + 1) {
+                i += 1;
+            }
+        } else {
+            while i > 0 && !due(i) {
+                i -= 1;
+            }
+        }
+        &h[i].1
     }
 }
 
@@ -458,13 +472,13 @@ impl Monitors {
     fn legacy(
         &mut self,
         spec: &DatasetSpec,
-        deployment: &Deployment,
+        cells: &CellIndex,
         serving: CellId,
         t: f64,
         intra_obs: &[CellRadio],
         inter_obs: &[CellRadio],
     ) -> Option<Trigger> {
-        let serving_earfcn = deployment.cell(serving)?.earfcn;
+        let serving_earfcn = cells.get(serving)?.earfcn;
         let serving_rsrp =
             |obs: &[CellRadio]| radio_of(obs, serving).map_or(-140.0, |c| c.rsrp_dbm);
         let (intra_rsrp, inter_rsrp) = (serving_rsrp(intra_obs), serving_rsrp(inter_obs));
@@ -503,7 +517,7 @@ impl Monitors {
                 if cell_id == serving {
                     continue;
                 }
-                let Some(cell) = deployment.cell(cell_id) else { continue };
+                let Some(cell) = cells.get(cell_id) else { continue };
                 if (cell.earfcn == serving_earfcn) != intra {
                     continue;
                 }
@@ -560,19 +574,15 @@ struct PlaneState<'c> {
 }
 
 impl<'c> PlaneState<'c> {
-    /// `plane` of `cfg` over `deployment`, attached to `strongest` (or
-    /// in a coverage-hole outage when no cell is in range).
-    fn new(
-        cfg: &'c RunConfig,
-        plane: Plane,
-        deployment: &Deployment,
-        strongest: Option<CellId>,
-    ) -> Self {
+    /// `plane` of `cfg` over the deployment of `cells`, attached to
+    /// `strongest` (or in a coverage-hole outage when no cell is in
+    /// range).
+    fn new(cfg: &'c RunConfig, plane: Plane, cells: &CellIndex, strongest: Option<CellId>) -> Self {
         let spec = &cfg.spec;
         let duration_s = spec.duration_s();
         // Per-cell state lives in dense vectors indexed by cell id
         // (`generate` numbers cells from 0).
-        let n_cells = deployment.cells().map(|c| c.id.0 as usize + 1).max().unwrap_or(0);
+        let n_cells = cells.len();
         let mut state = Self {
             cfg,
             plane,
@@ -643,7 +653,7 @@ impl<'c> PlaneState<'c> {
         let (t, cfg) = (e.t, self.cfg);
         // The serving link's SINR and carrier, when the cell is heard.
         let link = radio_of(e.now, serving)
-            .zip(e.deployment.cell(serving))
+            .zip(e.cells.get(serving))
             .map(|(r, c)| (r.snr_db, c.carrier_hz));
 
         // --- BLER window sample (serving link, both directions): the
@@ -676,7 +686,7 @@ impl<'c> PlaneState<'c> {
             match self.plane {
                 Plane::Legacy => self.monitors.legacy(
                     spec,
-                    e.deployment,
+                    e.cells,
                     serving,
                     t,
                     e.stale(spec.intra_staleness_ms),
@@ -688,7 +698,7 @@ impl<'c> PlaneState<'c> {
                 Plane::Rem => {
                     let degraded = self.plan.active(FaultKind::DropFeedback, t).is_some();
                     let obs = e.stale(self.rem_staleness_ms);
-                    self.evaluate_rem(e.deployment, serving, t, obs, degraded)
+                    self.evaluate_rem(e.cells, serving, t, obs, degraded)
                 }
             }
         };
@@ -773,12 +783,12 @@ impl<'c> PlaneState<'c> {
         }
         // The §3.2 missed-cell condition: a viable cell on another
         // frequency that legacy stage-1 monitoring never measured.
-        let serving_earfcn = e.deployment.cell(serving).map(|c| c.earfcn);
+        let serving_earfcn = e.cells.get(serving).map(|c| c.earfcn);
         let missed = self.plane == Plane::Legacy
             && !self.monitors.stage2
             && e.now.iter().any(|c| {
                 c.snr_db > 0.0
-                    && e.deployment.cell(c.cell).is_some_and(|cc| Some(cc.earfcn) != serving_earfcn)
+                    && e.cells.get(c.cell).is_some_and(|cc| Some(cc.earfcn) != serving_earfcn)
             });
         if missed {
             let masked =
@@ -803,7 +813,7 @@ impl<'c> PlaneState<'c> {
     /// cells; `rem_fallback_epochs` counts epochs where that happened.
     fn evaluate_rem(
         &mut self,
-        deployment: &Deployment,
+        cells: &CellIndex,
         serving: CellId,
         t: f64,
         obs: &[CellRadio],
@@ -813,7 +823,7 @@ impl<'c> PlaneState<'c> {
         const RHO: f64 = 0.935;
         let cfg = self.cfg;
         let serving_snr = radio_of(obs, serving).map_or(-30.0, |c| c.snr_db);
-        let serving_site = deployment.site_of(serving).map(|s| s.id);
+        let serving_site = cells.get(serving).map(|c| c.site);
 
         let mut best: Option<(f64, CellId)> = None;
         let mut fell_back = false;
@@ -824,13 +834,11 @@ impl<'c> PlaneState<'c> {
             if cell_id == serving {
                 continue;
             }
-            let Some(site) = deployment.site_of(cell_id) else { continue };
+            let Some(cell) = cells.get(cell_id) else { continue };
             // Cross-band estimated cells (not the per-site
             // representative) carry a small, slowly-varying estimation
             // error (Fig 12: <= 2 dB for 90% of measurements).
-            let representative =
-                site.cells.iter().map(|c| c.id).min().expect("the site hosts this cell");
-            let estimated = representative != cell_id && Some(site.id) != serving_site;
+            let estimated = cell.representative != cell_id && Some(cell.site) != serving_site;
             let quality = if estimated {
                 let sigma = cfg.spec.rem_estimation_err_db;
                 // The AR(1) state always evolves — degradation must not
@@ -1056,7 +1064,7 @@ impl<'c> PlaneState<'c> {
             self.metrics.signaling.x2_messages += 1;
         }
         let (from, to) = (attempt.serving, attempt.target);
-        let intra_freq = match (e.deployment.cell(from), e.deployment.cell(to)) {
+        let intra_freq = match (e.cells.get(from), e.cells.get(to)) {
             (Some(a), Some(b)) => a.earfcn == b.earfcn,
             _ => false,
         };
@@ -1096,7 +1104,7 @@ impl<'c> PlaneState<'c> {
         let t = e.t;
         let blocked = forced_hole || e.deployment.in_hole(e.pos_m);
         let candidate =
-            if blocked { None } else { e.by_rsrp.iter().find(|c| c.snr_db >= ATTACH_MIN_SNR_DB) };
+            if blocked { None } else { strongest(e.now, |c| c.snr_db >= ATTACH_MIN_SNR_DB) };
         self.metrics.reestablish_attempts += 1;
         let tries = outage.attempt + 1;
         self.record(SignalingEvent::Reestablish {
@@ -1201,6 +1209,17 @@ struct LinkSample {
 /// The radio state of `cell` in an observation sorted by `CellId`.
 fn radio_of(obs: &[CellRadio], cell: CellId) -> Option<&CellRadio> {
     obs.binary_search_by_key(&cell, |c| c.cell).ok().map(|i| &obs[i])
+}
+
+/// The strongest cell of `obs` that `admit`s, by RSRP, the first of
+/// equal RSRPs: the cell a stable sort by descending RSRP would put
+/// first among the admitted ones.
+fn strongest(obs: &[CellRadio], admit: impl Fn(&CellRadio) -> bool) -> Option<&CellRadio> {
+    let descending = |a: &&CellRadio, b: &&CellRadio| {
+        b.rsrp_dbm.partial_cmp(&a.rsrp_dbm).expect("RSRP is not NaN")
+    };
+    // `min_by` returns the first of equal minima.
+    obs.iter().filter(|c| admit(c)).min_by(descending)
 }
 
 /// Whether a message the channel delivered (`chan_ok`) survives an
@@ -1329,13 +1348,61 @@ mod tests {
         assert!(mr < ml, "rem={mr} legacy={ml}");
     }
 
+    #[test]
+    fn stale_views_match_the_reverse_scan() {
+        let mut env = EnvStream::new(&quick_spec(300.0), 1);
+        let mut epochs = 0;
+        while let Some(e) = env.next_epoch() {
+            for delay_ms in [0.0, 20.0, 30.0, 40.0, 160.0, 640.0, 1040.0, 5000.0] {
+                let cutoff = e.t - delay_ms;
+                let want = e.history.iter().rev().find(|(ht, _)| *ht <= cutoff);
+                let want = &want.unwrap_or(&e.history[0]).1;
+                let got = e.stale(delay_ms);
+                assert!(std::ptr::eq(got, want.as_slice()), "t={} delay={delay_ms}", e.t);
+            }
+            epochs += 1;
+            // The ring fills, then is recycled for as long again.
+            if epochs == 2 * HISTORY_LEN {
+                break;
+            }
+        }
+        assert_eq!(epochs, 2 * HISTORY_LEN);
+    }
+
+    #[test]
+    fn strongest_matches_a_stable_sort_by_rsrp() {
+        use rand::Rng;
+        let mut rng = rem_num::rng::rng_from_seed(8);
+        let mut ties = 0;
+        for _ in 0..2_000 {
+            // A few RSRP and SINR levels, so equal RSRPs are common.
+            let obs: Vec<CellRadio> = (0..rng.gen_range(0..8))
+                .map(|c| CellRadio {
+                    cell: CellId(c),
+                    rsrp_dbm: -100.0 + 5.0 * f64::from(rng.gen_range(0..3u8)),
+                    snr_db: -9.0 + 3.0 * f64::from(rng.gen_range(0..3u8)),
+                })
+                .collect();
+            let mut by_rsrp = obs.clone();
+            by_rsrp.sort_by(|a, b| b.rsrp_dbm.partial_cmp(&a.rsrp_dbm).unwrap());
+            let admits: [&dyn Fn(&CellRadio) -> bool; 2] =
+                [&|_| true, &|c| c.snr_db >= ATTACH_MIN_SNR_DB];
+            for admit in admits {
+                let want = by_rsrp.iter().find(|c| admit(c)).map(|c| c.cell);
+                assert_eq!(strongest(&obs, admit).map(|c| c.cell), want, "{obs:?}");
+            }
+            ties += usize::from(by_rsrp.len() > 1 && by_rsrp[0].rsrp_dbm == by_rsrp[1].rsrp_dbm);
+        }
+        assert!(ties > 100, "only {ties} observations tie for the strongest");
+    }
+
     /// `evaluate_legacy` and the monitor state the replay carries between
     /// epochs. Three sites 1 km apart each host one cell on carrier 1825
     /// (cells 0, 2, 4) and one on 2452 (cells 1, 3, 5); cell 0 serves,
     /// and every A3 offset is +2 dB.
     struct Legacy {
         spec: DatasetSpec,
-        deployment: Deployment,
+        cells: CellIndex,
         monitors: Monitors,
     }
 
@@ -1365,7 +1432,7 @@ mod tests {
                     inter_ttt_ms,
                     ..quick_spec(300.0)
                 },
-                deployment: Deployment { sites, holes: vec![], route_m: 2e3 },
+                cells: CellIndex::new(&Deployment { sites, holes: vec![], route_m: 2e3 }),
                 monitors: Monitors::new(6),
             }
         }
@@ -1384,11 +1451,10 @@ mod tests {
                 .map(|(c, rsrp_dbm)| CellRadio { cell: CellId(c), rsrp_dbm, snr_db: 0.0 })
                 .collect();
             obs.sort_by_key(|c| c.cell);
-            let Legacy { spec, deployment, monitors } = self;
+            let Legacy { spec, cells, monitors } = self;
             ms.step_by(20)
                 .filter_map(|t| {
-                    let found =
-                        monitors.legacy(spec, deployment, CellId(0), f64::from(t), &obs, &obs);
+                    let found = monitors.legacy(spec, cells, CellId(0), f64::from(t), &obs, &obs);
                     found.map(|trigger| (t, trigger.target))
                 })
                 .collect()
@@ -1500,12 +1566,12 @@ mod tests {
         // serving site on the other carrier (measured, not estimated).
         let l = Legacy::new(0.0, 0.0);
         let cfg = RunConfig::new(l.spec.clone(), Plane::Rem, 1);
-        let mut plane = PlaneState::new(&cfg, Plane::Rem, &l.deployment, Some(CellId(0)));
+        let mut plane = PlaneState::new(&cfg, Plane::Rem, &l.cells, Some(CellId(0)));
         let radio = |c, snr_db| CellRadio { cell: CellId(c), rsrp_dbm: -100.0, snr_db };
         let obs = [radio(0, 0.0), radio(1, 10.0)];
         let fired: Vec<f64> = [0.0, 20.0, 40.0]
             .into_iter()
-            .filter(|&t| plane.evaluate_rem(&l.deployment, CellId(0), t, &obs, false).is_some())
+            .filter(|&t| plane.evaluate_rem(&l.cells, CellId(0), t, &obs, false).is_some())
             .collect();
         // REM's 40 ms TTT, with no A2 gate and no measurement gap.
         assert_eq!((fired, plane.metrics.rem_fallback_epochs), (vec![40.0], 0));

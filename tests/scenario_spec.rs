@@ -292,3 +292,205 @@ fn toml_ish_text_never_panics_the_scenario_parser() {
         let _ = ScenarioSpec::from_toml(src);
     });
 }
+
+/// Any Unicode text, weighted towards what TOML and the scenario
+/// schema give meaning to: control characters, quotes, brackets,
+/// newlines and the schema's words, up to a few KiB.
+fn unicode_text(g: &mut Gen) -> String {
+    const WORDS: [&str; 12] = [
+        "format = \"REMSCENARIO1\"\n",
+        "name = \"x\"\n",
+        "[trajectory]\n",
+        "speed_kmh = 300.0\n",
+        "route_km = 4\n",
+        "[cells]\n",
+        "family = \"nr\"\n",
+        "[faults]\n",
+        "[net]\n",
+        "[fleet]\n",
+        "[run]\nseeds = [",
+        "\\u{0}",
+    ];
+    const MARKS: &str = "\"'[]{}=#.,\\\n\r\t ";
+    let marks: Vec<char> = MARKS.chars().collect();
+    let mut text = String::new();
+    let cap = g.pick(&[16, 256, 4096]);
+    let len = g.range(0..=cap);
+    while text.len() < len {
+        match g.range(0..5) {
+            0 => text.push_str(g.pick(&WORDS)),
+            1 => text.push(g.pick(&marks)),
+            2 => text.push(char::from(g.range(0u8..0x20))),
+            3 => text.push(char::from_u32(g.range(0x80..0x11_0000)).unwrap_or('\u{fffd}')),
+            _ => text.push(char::from(g.range(0x20u8..0x7f))),
+        }
+    }
+    text
+}
+
+#[test]
+fn arbitrary_unicode_never_panics_the_scenario_parser() {
+    let mut past_syntax = 0;
+    check("arbitrary_unicode_never_panics_the_scenario_parser", 512, unicode_text, |src| {
+        match ScenarioSpec::from_toml(src) {
+            // Whatever parses is a valid scenario that round-trips.
+            Ok(spec) => {
+                assert_eq!(ScenarioSpec::from_toml(&spec.to_toml()).as_ref(), Ok(&spec));
+            }
+            Err(e) => {
+                assert!(!e.to_string().is_empty());
+                past_syntax += usize::from(!matches!(e, ScenarioError::Syntax { .. }));
+            }
+        }
+    });
+    // Some inputs are well-formed enough to reach the schema checks.
+    assert!(past_syntax > 0, "every input stopped at a syntax error");
+}
+
+/// A valid scenario: every family, profile and plane, and each override
+/// and optional section present or not, with values inside the domains
+/// `ScenarioSpec::validate` accepts.
+fn valid_spec(g: &mut Gen) -> ScenarioSpec {
+    use rem_core::scenario::{FaultsSpec, NetSpec};
+    use rem_fleet::FleetSpec;
+    use rem_sim::deployment::CarrierPlan;
+
+    const FAMILIES: [Family; 4] =
+        [Family::BeijingTaiyuan, Family::BeijingShanghai, Family::LaDriving, Family::NrSmallcell];
+    const NAME: [&str; 11] = ["\r", "hsr", "-", " ", "\"", "\\", "\n", "\t", "#", "[x]", "é中🚄"];
+    let name = format!("s{}", g.vec(0..6, |g| g.pick(&NAME)).concat());
+    let speed_kmh = g.range(1.0..600.0);
+    let mut spec = ScenarioSpec::new(&name, g.pick(&FAMILIES), g.range(0.5..2_000.0), speed_kmh);
+    let opt = |g: &mut Gen, lo: f64, hi: f64| g.bool().then(|| g.range(lo..hi));
+    let pair = |g: &mut Gen, lo: f64, hi: f64| {
+        g.bool().then(|| {
+            let a = g.range(lo..hi);
+            (a, a + g.range(0.0..hi))
+        })
+    };
+
+    if g.bool() {
+        let accel_ms2 = g.range(0.1..2.0);
+        let v = speed_kmh / 3.6;
+        spec.trajectory.profile = ProfileSpec::Stations {
+            stop_every_m: v * v / accel_ms2 * g.range(1.01..10.0) + 1.0,
+            dwell_s: g.range(0.0..600.0),
+            accel_ms2,
+        };
+    }
+
+    let c = &mut spec.cells;
+    c.site_spacing_m = opt(g, 50.0, 5_000.0);
+    c.lateral_range_m = pair(g, 0.0, 600.0);
+    c.carriers = g.bool().then(|| {
+        g.vec(1..4, |g| CarrierPlan {
+            earfcn: rem_mobility::Earfcn(g.range(0..70_000)),
+            carrier_hz: g.range(0.4e9..6e9),
+            bandwidth_mhz: g.range(1.4..100.0),
+        })
+    });
+    c.second_cell_prob = opt(g, 0.0, 1.0);
+    c.third_cell_prob = opt(g, 0.0, 1.0);
+    c.tx_power_dbm = opt(g, -20.0, 50.0);
+    c.holes_per_100km = opt(g, 0.0, 10.0);
+    c.hole_len_m = pair(g, 0.0, 2_000.0);
+
+    let ch = &mut spec.channel;
+    ch.shadow_sigma_db = opt(g, 0.0, 12.0);
+    ch.shadow_dcorr_m = opt(g, 1.0, 500.0);
+    ch.rem_estimation_err_db = opt(g, 0.0, 5.0);
+
+    let p = &mut spec.policy;
+    p.plane = g.pick(&[PlaneMix::Both, PlaneMix::Legacy, PlaneMix::Rem]);
+    p.rem_clamp_offsets = g.bool().then(|| g.bool());
+    p.proactive_prob = opt(g, 0.0, 1.0);
+    p.proactive_offset_db = opt(g, -10.0, 0.0);
+    p.normal_offset_db = opt(g, 0.0, 10.0);
+    p.intra_ttt_ms = opt(g, 0.0, 1_000.0);
+    p.inter_ttt_ms = opt(g, 0.0, 1_000.0);
+    p.intra_staleness_ms = opt(g, 0.0, 2_000.0);
+    p.inter_staleness_ms = opt(g, 0.0, 2_000.0);
+    p.rem_staleness_ms = opt(g, 0.0, 500.0);
+
+    spec.link.snr_db = g.range(-10.0..30.0);
+    spec.link.blocks = g.range(1..1_000);
+    spec.link.seed = g.range(0..1 << 40);
+
+    spec.faults = g.bool().then(|| FaultsSpec {
+        rate_scale: opt(g, 0.0, 5.0),
+        feedback_per_min: opt(g, 0.0, 10.0),
+        command_per_min: opt(g, 0.0, 10.0),
+        x2_per_min: opt(g, 0.0, 10.0),
+        mask_per_min: opt(g, 0.0, 10.0),
+        hole_per_min: opt(g, 0.0, 10.0),
+        window_ms: opt(g, 1.0, 5_000.0),
+        hole_ms: opt(g, 1.0, 5_000.0),
+        extra_delay_ms: opt(g, 1.0, 5_000.0),
+        delay_frac: opt(g, 0.0, 0.5),
+        corrupt_frac: opt(g, 0.0, 0.5),
+        tcp_burst_per_min: opt(g, 0.0, 10.0),
+        burst_ms: opt(g, 1.0, 1_000.0),
+        burst_loss_prob: opt(g, 0.0, 1.0),
+    });
+    spec.net = g.bool().then(|| NetSpec {
+        bloat_per_min: opt(g, 0.0, 10.0),
+        bloat_ms: opt(g, 1.0, 5_000.0),
+        bloat_drain_pkts_per_ms: opt(g, 0.01, 10.0),
+        bloat_queue_pkts: opt(g, 1.0, 1_000.0),
+        bloat_standing_pkts: opt(g, 0.0, 500.0),
+        jitter_per_min: opt(g, 0.0, 10.0),
+        jitter_ms: opt(g, 1.0, 5_000.0),
+        jitter_spike_ms: opt(g, 0.0, 500.0),
+        rebind_per_min: opt(g, 0.0, 10.0),
+        outage_per_min: opt(g, 0.0, 10.0),
+        outage_ms: opt(g, 1.0, 5_000.0),
+        window_ms: opt(g, 1_000.0, 300_000.0),
+        loss_prob: opt(g, 0.0, 1.0),
+    });
+    spec.fleet = g.bool().then(|| FleetSpec {
+        trains: g.range(1..500),
+        ues_per_train: g.range(1..1_000),
+        corridor_km: g.range(1.0..500.0),
+        cell_spacing_m: g.range(100.0..5_000.0),
+        speed_kmh: g.range(10.0..600.0),
+        speed_jitter: g.range(0.0..0.99),
+        headway_s: g.range(1.0..600.0),
+        duration_s: g.range(1.0..3_600.0),
+        epoch_ms: g.range(10.0..1_000.0),
+        seed: g.range(0..1 << 40),
+        shards: g.range(1..16),
+    });
+
+    let r = &mut spec.run;
+    r.seeds = g.vec(1..6, |g| g.range(0..1 << 40));
+    r.threads = g.range(0..8);
+    r.checkpoint_every = g.range(1..64);
+    r.max_retries = g.range(0..5);
+    r.trial_timeout_ms = g.bool().then(|| g.range(1..100_000));
+    r.chaos_panic_rate = g.range(0.0..1.0);
+    r.chaos_fatal = g.bool();
+    r.chaos_seed = g.range(0..1 << 40);
+
+    spec.train.clients = g.range(1..64);
+    spec.train.train_len_m = g.range(10.0..1_000.0);
+    spec.train.window_ms = g.range(10.0..10_000.0);
+    spec.train.seed = g.range(0..1 << 40);
+    spec
+}
+
+#[test]
+fn generated_valid_specs_round_trip_exactly() {
+    let mut sections = [0usize; 3];
+    check("generated_valid_specs_round_trip_exactly", 512, valid_spec, |spec| {
+        spec.validate().expect("the generator draws valid specs");
+        let text = spec.to_toml();
+        let back = ScenarioSpec::from_toml(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(&back, spec, "{text}");
+        assert_eq!(back.to_toml(), text);
+        let present = [spec.faults.is_some(), spec.net.is_some(), spec.fleet.is_some()];
+        for (n, p) in sections.iter_mut().zip(present) {
+            *n += usize::from(p);
+        }
+    });
+    assert!(sections.iter().all(|&n| n > 100), "optional sections drawn {sections:?} times");
+}
