@@ -7,7 +7,7 @@
 //! Usage: `cargo bench -p rem-bench --bench crash_safety [-- --test]`
 //! (`--test` shrinks iteration counts to a smoke run).
 
-use rem_bench::{header, time_us};
+use rem_bench::{header, time_us, Timing};
 use rem_core::rem_exec::{par_map, par_map_checked, CheckedPolicy};
 use rem_core::{fnv1a64, Checkpoint};
 use std::hint::black_box;
@@ -23,22 +23,25 @@ fn synthetic_trial(i: usize) -> f64 {
     acc
 }
 
-fn report(name: &str, us: f64) {
-    println!("  {name:<28} {us:>12.2} us");
+fn report(name: &str, t: Timing) {
+    println!(
+        "  {name:<28} {:>12.2} us  (min {:.2}, max {:.2}, {} rounds)",
+        t.median_us, t.min_us, t.max_us, t.repeats
+    );
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     // Checkpoint saves fsync, so they get fewer iterations.
-    let (warmup, iters, io_iters) = if smoke { (1, 3, 3) } else { (10, 200, 30) };
+    let (warmup, repeats, iters, io_iters) = if smoke { (1, 3, 3, 3) } else { (10, 5, 200, 30) };
 
-    header("Crash safety: checked-engine overhead (mean per call)");
+    header("Crash safety: checked-engine overhead (median of per-round means)");
     const TRIALS: usize = 256;
     for threads in [1usize, 4] {
-        let plain = time_us(warmup, iters, || {
+        let plain = time_us(warmup, repeats, iters, || {
             black_box(par_map(threads, TRIALS, synthetic_trial));
         });
-        let checked = time_us(warmup, iters, || {
+        let checked = time_us(warmup, repeats, iters, || {
             black_box(par_map_checked(
                 threads,
                 TRIALS,
@@ -50,15 +53,16 @@ fn main() {
         report(&format!("par_map_checked_{TRIALS}_t{threads}"), checked);
     }
 
-    header("Crash safety: checkpoint IO and hashing (mean per call)");
+    header("Crash safety: checkpoint IO and hashing (median of per-round means)");
     const RECORDS: usize = 512;
     let mut ckpt = Checkpoint::new("bench", "{\"spec\":1}".to_string(), RECORDS);
     for i in 0..RECORDS {
         ckpt.record(i, format!("[{:.6},{{}}]", synthetic_trial(i)));
     }
     let path = std::env::temp_dir().join("rem-bench-crash-safety.ckpt");
-    let save = time_us(warmup.min(3), io_iters, || ckpt.save(black_box(&path)).expect("save"));
-    let load = time_us(warmup, iters, || {
+    let save =
+        time_us(warmup.min(3), repeats, io_iters, || ckpt.save(black_box(&path)).expect("save"));
+    let load = time_us(warmup, repeats, iters, || {
         black_box(Checkpoint::load(black_box(&path)).expect("load"));
     });
     let _ = std::fs::remove_file(&path);
@@ -66,7 +70,7 @@ fn main() {
     report(&format!("checkpoint_load_{RECORDS}"), load);
 
     let blob: Vec<u8> = (0..1 << 20).map(|i| (i * 31 % 251) as u8).collect();
-    let hash = time_us(warmup, iters, || {
+    let hash = time_us(warmup, repeats, iters, || {
         black_box(fnv1a64(black_box(&blob)));
     });
     report("fnv1a64_1mib", hash);

@@ -12,12 +12,17 @@
 //! written either way). The output lands in the working directory, or
 //! at `$BENCH_DSP_JSON` when set.
 //!
+//! Every timing is [`rem_bench::time_us`]'s record: the median over
+//! `repeats` rounds of the per-round mean, with the fastest and slowest
+//! round, in µs. Speedups are ratios of medians. The report also
+//! records the host's `available_parallelism` and the SIMD tier.
+//!
 //! On a CPU without a vector tier (or under `REM_DSP_SIMD=off`) the
 //! "simd" timings fall back to the scalar kernel, so the speedup
 //! columns read ~1.0 — the report's `simd.dispatch` field says which
 //! tier actually ran.
 
-use rem_bench::time_us;
+use rem_bench::{time_us, Timing};
 use rem_channel::models::ChannelModel;
 use rem_num::fft::{fft, fft_unplanned};
 use rem_num::rng::{complex_gaussian, rng_from_seed};
@@ -36,7 +41,8 @@ use std::hint::black_box;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let (warmup, iters) = if smoke { (2, 5) } else { (50, 400) };
+    let (warmup, repeats, iters) = if smoke { (2, 3, 5) } else { (50, 7, 400) };
+    let speedup = |base: Timing, fast: Timing| base.median_us / fast.median_us;
     let tier = simd::active_tier();
 
     let mut rng = rng_from_seed(1);
@@ -46,21 +52,21 @@ fn main() {
     // 1200-point Bluestein, planned (cached twiddles + pre-transformed
     // chirp kernel, SIMD butterflies) vs the per-call baseline.
     let mut buf = x1200.clone();
-    let planned_1200 = time_us(warmup, iters, || {
+    let planned_1200 = time_us(warmup, repeats, iters, || {
         buf.copy_from_slice(&x1200);
         fft(black_box(&mut buf));
     });
-    let unplanned_1200 = time_us(warmup, iters, || {
+    let unplanned_1200 = time_us(warmup, repeats, iters, || {
         buf.copy_from_slice(&x1200);
         fft_unplanned(black_box(&mut buf));
     });
 
     let mut buf2 = x1024.clone();
-    let planned_1024 = time_us(warmup, iters, || {
+    let planned_1024 = time_us(warmup, repeats, iters, || {
         buf2.copy_from_slice(&x1024);
         fft(black_box(&mut buf2));
     });
-    let unplanned_1024 = time_us(warmup, iters, || {
+    let unplanned_1024 = time_us(warmup, repeats, iters, || {
         buf2.copy_from_slice(&x1024);
         fft_unplanned(black_box(&mut buf2));
     });
@@ -70,7 +76,7 @@ fn main() {
     let mut ws = DspScratch::new();
     let g12 = CMatrix::from_fn(12, 14, |_, _| complex_gaussian(&mut rng, 1.0));
     let mut out12 = CMatrix::zeros(12, 14);
-    let sfft_12x14 = time_us(warmup, iters * 2, || {
+    let sfft_12x14 = time_us(warmup, repeats, iters * 2, || {
         sfft_into(black_box(&g12), &mut out12, &mut ws);
         black_box(&out12);
     });
@@ -81,7 +87,7 @@ fn main() {
     let qam_syms: Vec<Complex64> =
         (0..4096).map(|_| complex_gaussian(&mut rng, 1.0)).collect();
     let mut llr_buf: Vec<f64> = Vec::with_capacity(4 * qam_syms.len());
-    let qam_scalar = time_us(warmup, iters, || {
+    let qam_scalar = time_us(warmup, repeats, iters, || {
         llr_buf.clear();
         qam::demodulate_soft_into_with_tier(
             black_box(&qam_syms),
@@ -92,7 +98,7 @@ fn main() {
         );
         black_box(&llr_buf);
     });
-    let qam_simd = time_us(warmup, iters, || {
+    let qam_simd = time_us(warmup, repeats, iters, || {
         llr_buf.clear();
         qam::demodulate_soft_into_with_tier(
             black_box(&qam_syms),
@@ -111,7 +117,7 @@ fn main() {
     let coded = convcode::encode(&payload);
     let llrs: Vec<f64> = coded.iter().map(|&b| if b { -1.0 } else { 1.0 }).collect();
     let mut trellis = convcode::TrellisScratch::new();
-    let viterbi_scalar = time_us(warmup, iters, || {
+    let viterbi_scalar = time_us(warmup, repeats, iters, || {
         black_box(convcode::decode_soft_with_tier(
             black_box(&llrs),
             payload_len,
@@ -119,7 +125,7 @@ fn main() {
             SimdTier::Scalar,
         ));
     });
-    let viterbi_simd = time_us(warmup, iters, || {
+    let viterbi_simd = time_us(warmup, repeats, iters, || {
         black_box(convcode::decode_soft_with_tier(
             black_box(&llrs),
             payload_len,
@@ -133,7 +139,7 @@ fn main() {
     let ch = ChannelModel::Hst.realize(&mut rng, 97.2, 2.6e9);
     let mut block_rng = rng_from_seed(2);
     let block_iters = (iters / 4).max(3);
-    let block = time_us(warmup.min(5), block_iters, || {
+    let block = time_us(warmup.min(5), repeats, block_iters, || {
         black_box(simulate_block_with(&cfg, &ch, 10.0, &payload, &mut block_rng, &mut ws));
     });
 
@@ -166,15 +172,20 @@ fn main() {
     for &bs in &[1usize, 4, 8, 16] {
         let proto = mk_jobs(bs);
         let calls = (block_iters / bs).max(3);
-        let per_call = time_us(warmup.min(5).min(calls), calls, || {
+        let per_call = time_us(warmup.min(5).min(calls), repeats, calls, || {
             let mut jobs = clone_jobs(&proto);
             black_box(lb.run(&cfg, 10.0, &mut jobs, &mut ws));
         });
-        let per_block = per_call / bs as f64;
+        let per_block = Timing {
+            median_us: per_call.median_us / bs as f64,
+            min_us: per_call.min_us / bs as f64,
+            max_us: per_call.max_us / bs as f64,
+            ..per_call
+        };
         if bs == 8 {
             batched_8 = per_block;
         }
-        batch_series.push(serde_json::json!({ "batch": bs, "us_per_block": per_block }));
+        batch_series.push(serde_json::json!({ "batch": bs, "us_per_block": (per_block.json()) }));
     }
 
     // Allocating SFFT of a 4-RB grid, the SVD at the cross-band
@@ -184,11 +195,11 @@ fn main() {
     // depend on them.
     let mut rng = rng_from_seed(4);
     let g48 = CMatrix::from_fn(48, 14, |_, _| complex_gaussian(&mut rng, 1.0));
-    let sfft_48x14 = time_us(warmup, iters, || {
+    let sfft_48x14 = time_us(warmup, repeats, iters, || {
         black_box(sfft(black_box(&g48)));
     });
     let h = CMatrix::from_fn(24, 16, |_, _| complex_gaussian(&mut rng, 1.0));
-    let svd_24x16 = time_us(warmup.min(5), block_iters, || {
+    let svd_24x16 = time_us(warmup.min(5), repeats, block_iters, || {
         black_box(svd(black_box(&h)));
     });
     let taps = [
@@ -198,51 +209,55 @@ fn main() {
     ];
     let qpsk = c64(FRAC_1_SQRT_2, FRAC_1_SQRT_2);
     let y = apply_dd_channel(&CMatrix::from_fn(8, 8, |_, _| qpsk), &taps);
-    let mp_8x8 = time_us(warmup.min(5), block_iters, || {
+    let mp_8x8 = time_us(warmup.min(5), repeats, block_iters, || {
         black_box(mp_detect(black_box(&y), &taps, Modulation::Qpsk, 0.01, &MpConfig::default()));
     });
 
     let report = serde_json::json!({
         "bench": "dsp_json",
         "mode": (if smoke { "smoke" } else { "full" }),
+        "repeats": repeats,
         "iterations": iters,
+        "host": {
+            "available_parallelism": (std::thread::available_parallelism().map_or(0, |n| n.get())),
+        },
         "simd": {
             "dispatch": (tier.name()),
             "cpu_features": (simd::cpu_features()),
         },
         "kernels": {
             "fft_1200_bluestein": {
-                "planned_us": planned_1200,
-                "unplanned_us": unplanned_1200,
-                "speedup": (unplanned_1200 / planned_1200),
+                "planned_us": (planned_1200.json()),
+                "unplanned_us": (unplanned_1200.json()),
+                "speedup": (speedup(unplanned_1200, planned_1200)),
             },
             "fft_1024_radix2": {
-                "planned_us": planned_1024,
-                "unplanned_us": unplanned_1024,
-                "speedup": (unplanned_1024 / planned_1024),
+                "planned_us": (planned_1024.json()),
+                "unplanned_us": (unplanned_1024.json()),
+                "speedup": (speedup(unplanned_1024, planned_1024)),
             },
-            "sfft_12x14_into": { "planned_us": sfft_12x14 },
-            "sfft_48x14": { "us": sfft_48x14 },
-            "svd_24x16": { "us": svd_24x16 },
-            "mp_detect_8x8_3taps": { "us": mp_8x8 },
+            "sfft_12x14_into": { "planned_us": (sfft_12x14.json()) },
+            "sfft_48x14": { "us": (sfft_48x14.json()) },
+            "svd_24x16": { "us": (svd_24x16.json()) },
+            "mp_detect_8x8_3taps": { "us": (mp_8x8.json()) },
             "qam_llr": {
                 "symbols": (qam_syms.len()),
                 "modulation": "qam16",
-                "scalar_us": qam_scalar,
-                "simd_us": qam_simd,
-                "speedup": (qam_scalar / qam_simd),
+                "scalar_us": (qam_scalar.json()),
+                "simd_us": (qam_simd.json()),
+                "speedup": (speedup(qam_scalar, qam_simd)),
             },
             "viterbi_decode_soft": {
-                "scalar_us": viterbi_scalar,
-                "simd_us": viterbi_simd,
-                "speedup": (viterbi_scalar / viterbi_simd),
+                "scalar_us": (viterbi_scalar.json()),
+                "simd_us": (viterbi_simd.json()),
+                "speedup": (speedup(viterbi_scalar, viterbi_simd)),
                 "payload_bits": payload_len,
             },
             "otfs_coded_block_12x14": {
-                "us": block,
-                "batched_us_per_block": batched_8,
+                "us": (block.json()),
+                "batched_us_per_block": (batched_8.json()),
                 "batch": 8,
-                "speedup": (block / batched_8),
+                "speedup": (speedup(block, batched_8)),
             },
         },
         "batch_throughput": batch_series,
@@ -254,16 +269,26 @@ fn main() {
     // Provenance manifest beside the artifact (git SHA, plan-cache
     // mode, SIMD tier, iteration counts). No result hash: timings are
     // not deterministic, only attributable.
-    let spec = serde_json::json!({ "warmup": warmup, "iters": iters, "smoke": smoke });
+    let spec = serde_json::json!({
+        "warmup": warmup,
+        "repeats": repeats,
+        "iters": iters,
+        "smoke": smoke,
+    });
     let manifest = rem_obs::RunManifest::new("bench:dsp_json", &spec.to_string(), iters);
     let mpath = format!("{path}.manifest.json");
     manifest.save(std::path::Path::new(&mpath)).expect("write bench manifest");
     println!("{pretty}");
     println!("wrote {path} (+ {mpath})");
     println!(
-        "simd dispatch: {} | viterbi {viterbi_scalar:.2} -> {viterbi_simd:.2} us, \
-         qam_llr {qam_scalar:.2} -> {qam_simd:.2} us, \
-         otfs block {block:.2} -> {batched_8:.2} us (batch 8)",
-        tier.name()
+        "simd dispatch: {} | viterbi {:.2} -> {:.2} us, qam_llr {:.2} -> {:.2} us, \
+         otfs block {:.2} -> {:.2} us (batch 8); medians of {repeats} rounds",
+        tier.name(),
+        viterbi_scalar.median_us,
+        viterbi_simd.median_us,
+        qam_scalar.median_us,
+        qam_simd.median_us,
+        block.median_us,
+        batched_8.median_us,
     );
 }

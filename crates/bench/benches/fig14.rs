@@ -59,10 +59,10 @@ fn main() {
     let times: Vec<(&str, f64)> = estimators
         .iter()
         .map(|(name, est)| {
-            let us = time_us(5, 200, || {
+            let t = time_us(5, 3, 200, || {
                 black_box(est.predict_band2_tf(black_box(obs)));
             });
-            (*name, us)
+            (*name, t.median_us)
         })
         .collect();
     for (name, us) in &times {

@@ -70,17 +70,53 @@ pub fn bench_args() -> BenchArgs {
     parse_bench_args(std::env::args().skip(1))
 }
 
-/// Mean microseconds per call of `f` over `iters` calls, after `warmup`
-/// untimed calls.
-pub fn time_us(warmup: usize, iters: usize, mut f: impl FnMut()) -> f64 {
+/// Microseconds per call of a timed closure over `repeats` rounds:
+/// each round's mean, summarised by the median and the range.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Timing {
+    /// Median over the rounds of the mean microseconds per call.
+    pub median_us: f64,
+    /// The fastest round's mean.
+    pub min_us: f64,
+    /// The slowest round's mean.
+    pub max_us: f64,
+    /// Timed rounds.
+    pub repeats: usize,
+}
+
+impl Timing {
+    /// The record form: `{"median": .., "min": .., "max": ..}` in µs,
+    /// rounded to 0.01 µs.
+    pub fn json(&self) -> serde_json::Value {
+        let r = |us: f64| (us * 100.0).round() / 100.0;
+        let (median, min, max) = (r(self.median_us), r(self.min_us), r(self.max_us));
+        serde_json::json!({ "median": median, "min": min, "max": max })
+    }
+}
+
+/// Times `f`: `warmup` untimed calls, then `repeats` rounds of `iters`
+/// calls each, one mean per round.
+///
+/// # Panics
+/// Panics if `repeats` or `iters` is 0.
+pub fn time_us(warmup: usize, repeats: usize, iters: usize, mut f: impl FnMut()) -> Timing {
+    assert!(repeats > 0 && iters > 0, "time_us needs at least one timed call");
     for _ in 0..warmup {
         f();
     }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t0.elapsed().as_secs_f64() * 1e6 / iters as f64
+    let mut means: Vec<f64> = (0..repeats)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            t0.elapsed().as_secs_f64() * 1e6 / iters as f64
+        })
+        .collect();
+    means.sort_by(f64::total_cmp);
+    let mid = repeats / 2;
+    let median_us = if repeats % 2 == 1 { means[mid] } else { 0.5 * (means[mid - 1] + means[mid]) };
+    Timing { median_us, min_us: means[0], max_us: means[repeats - 1], repeats }
 }
 
 /// Prints a section header.
@@ -140,6 +176,16 @@ mod tests {
         let b = parse_bench_args(["--threads", "4"]);
         assert_eq!(b.trials, None);
         assert_eq!(b.threads, 4);
+    }
+
+    #[test]
+    fn time_us_summarises_every_round() {
+        let mut calls = 0;
+        let t = time_us(2, 3, 4, || calls += 1);
+        assert_eq!(calls, 2 + 3 * 4);
+        assert_eq!(t.repeats, 3);
+        assert!(t.min_us <= t.median_us && t.median_us <= t.max_us, "{t:?}");
+        assert_eq!(t.json()["median"].as_f64(), Some((t.median_us * 100.0).round() / 100.0));
     }
 
     #[test]

@@ -26,6 +26,12 @@
 //! * [`FftPlanner`] caches plans keyed by length. The free functions
 //!   [`fft`]/[`ifft`] route through a thread-local planner + scratch,
 //!   so steady-state transforms perform **zero heap allocations**.
+//! * [`FftPlan::transform_batch`] runs [`BATCH`] vectors of one length
+//!   through one call, held as a structure of arrays ([`Lanes`]): every
+//!   step of the plan runs once for all four vectors, and on AVX2 the
+//!   four vectors are the four lanes of a register. The grid transforms
+//!   of the OTFS SFFT/ISFFT are its callers. Each lane is bit-identical
+//!   to the one-vector call.
 //!
 //! Plans are pure functions of the length: a cached plan produces
 //! bit-identical output to a freshly built one, and any thread count
@@ -159,12 +165,15 @@ fn with_thread_planner<R>(f: impl FnOnce(&mut FftPlanner, &mut FftScratch) -> R)
 }
 
 /// Reusable work memory for plan execution. Radix-2 plans need none;
-/// Bluestein plans borrow one buffer of the inner power-of-two length.
-/// The buffer grows to the largest length seen and is then reused, so
+/// Bluestein plans borrow one buffer of the inner power-of-two length,
+/// and batched Bluestein transforms two such rows of [`Lanes`]. The
+/// buffers grow to the largest length seen and are then reused, so
 /// steady-state transforms allocate nothing.
 #[derive(Debug, Default)]
 pub struct FftScratch {
     buf: Vec<Complex64>,
+    /// Batched Bluestein work memory: `m` real rows, then `m` imaginary.
+    lanes: Vec<Lanes>,
 }
 
 impl FftScratch {
@@ -179,6 +188,187 @@ impl FftScratch {
             self.buf.resize(len, Complex64::ZERO);
         }
         &mut self.buf[..len]
+    }
+
+    /// Real and imaginary batched work rows, `len` each (contents
+    /// arbitrary).
+    fn ensure_lanes(&mut self, len: usize) -> (&mut [Lanes], &mut [Lanes]) {
+        if self.lanes.len() < 2 * len {
+            self.lanes.resize(2 * len, [0.0; BATCH]);
+        }
+        self.lanes[..2 * len].split_at_mut(len)
+    }
+}
+
+/// Vectors one batched transform carries: the four `f64` lanes of an
+/// AVX2 register.
+pub const BATCH: usize = 4;
+
+/// One element of [`BATCH`] vectors, lane `l` holding vector `l`'s. A
+/// batch of length-`n` vectors is `n` of these per component: element
+/// `k` of vector `l` is `re[k][l]` and `im[k][l]` (flat index
+/// `BATCH * k + l`).
+pub type Lanes = [f64; BATCH];
+
+/// The transform [`FftPlan::transform_batch`] applies to every lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FftDirection {
+    /// [`FftPlan::forward`].
+    Forward,
+    /// [`FftPlan::inverse_unnormalized`].
+    InverseUnnormalized,
+}
+
+/// `a * b` in every lane with `b` shared, operand for operand the
+/// scalar `Complex64` product `(ar*br - ai*bi, ar*bi + ai*br)`.
+#[inline]
+fn cmul_lanes(ar: &Lanes, ai: &Lanes, b: Complex64) -> (Lanes, Lanes) {
+    let mut re = [0.0; BATCH];
+    let mut im = [0.0; BATCH];
+    for l in 0..BATCH {
+        re[l] = ar[l] * b.re - ai[l] * b.im;
+        im[l] = ar[l] * b.im + ai[l] * b.re;
+    }
+    (re, im)
+}
+
+/// One portable radix-2 stage over a batch: [`scalar_stage`]'s
+/// butterfly `u + v*w` / `u - v*w` in every lane. With
+/// [`lane_cmul_rows`] this is the batched reference every tier is
+/// held to.
+fn lane_stage(re: &mut [Lanes], im: &mut [Lanes], len: usize, stage: &[Complex64]) {
+    let half = len / 2;
+    for (rb, ib) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
+        let (ru, rv) = rb.split_at_mut(half);
+        let (iu, iv) = ib.split_at_mut(half);
+        let pairs = ru.iter_mut().zip(iu).zip(rv.iter_mut().zip(iv));
+        for (((ur, ui), (vr, vi)), &w) in pairs.zip(stage) {
+            let (tr, ti) = cmul_lanes(vr, vi, w);
+            for l in 0..BATCH {
+                let (a, b) = (ur[l], ui[l]);
+                ur[l] = a + tr[l];
+                ui[l] = b + ti[l];
+                vr[l] = a - tr[l];
+                vi[l] = b - ti[l];
+            }
+        }
+    }
+}
+
+/// Element `k` of every lane times `b[k]`, in place, after scaling it
+/// by `scale` when one is given: the chirp, kernel and output products
+/// of [`BluesteinPlan::execute`] over a batch.
+fn lane_cmul_rows(re: &mut [Lanes], im: &mut [Lanes], b: &[Complex64], scale: Option<f64>) {
+    for ((r, i), &c) in re.iter_mut().zip(im.iter_mut()).zip(b) {
+        if let Some(s) = scale {
+            *r = r.map(|x| x * s);
+            *i = i.map(|x| x * s);
+        }
+        (*r, *i) = cmul_lanes(r, i, c);
+    }
+}
+
+/// AVX2 twins of [`lane_stage`] and [`lane_cmul_rows`]: a [`Lanes`] is
+/// one `__m256d`, one lane per vector, so no shuffles are needed and
+/// every lane runs the portable expression operation for operation (no
+/// FMA). Every load and store covers exactly the four `f64` of one
+/// `&Lanes`/`&mut Lanes`.
+#[cfg(target_arch = "x86_64")]
+mod lanes_avx2 {
+    use super::{Complex64, Lanes};
+    use std::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn cmul(ar: __m256d, ai: __m256d, b: Complex64) -> (__m256d, __m256d) {
+        let (br, bi) = (_mm256_set1_pd(b.re), _mm256_set1_pd(b.im));
+        let re = _mm256_sub_pd(_mm256_mul_pd(ar, br), _mm256_mul_pd(ai, bi));
+        let im = _mm256_add_pd(_mm256_mul_pd(ar, bi), _mm256_mul_pd(ai, br));
+        (re, im)
+    }
+
+    /// [`super::lane_stage`].
+    ///
+    /// # Safety
+    /// The CPU must have AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn radix2_stage(
+        re: &mut [Lanes],
+        im: &mut [Lanes],
+        len: usize,
+        stage: &[Complex64],
+    ) {
+        let half = len / 2;
+        for (rb, ib) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
+            let (ru, rv) = rb.split_at_mut(half);
+            let (iu, iv) = ib.split_at_mut(half);
+            let pairs = ru.iter_mut().zip(iu).zip(rv.iter_mut().zip(iv));
+            for (((ur, ui), (vr, vi)), &w) in pairs.zip(stage) {
+                let (tr, ti) = cmul(_mm256_loadu_pd(vr.as_ptr()), _mm256_loadu_pd(vi.as_ptr()), w);
+                let (a, b) = (_mm256_loadu_pd(ur.as_ptr()), _mm256_loadu_pd(ui.as_ptr()));
+                _mm256_storeu_pd(ur.as_mut_ptr(), _mm256_add_pd(a, tr));
+                _mm256_storeu_pd(ui.as_mut_ptr(), _mm256_add_pd(b, ti));
+                _mm256_storeu_pd(vr.as_mut_ptr(), _mm256_sub_pd(a, tr));
+                _mm256_storeu_pd(vi.as_mut_ptr(), _mm256_sub_pd(b, ti));
+            }
+        }
+    }
+
+    /// [`super::lane_cmul_rows`].
+    ///
+    /// # Safety
+    /// The CPU must have AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn cmul_rows(
+        re: &mut [Lanes],
+        im: &mut [Lanes],
+        b: &[Complex64],
+        scale: Option<f64>,
+    ) {
+        for ((r, i), &c) in re.iter_mut().zip(im.iter_mut()).zip(b) {
+            let (mut x, mut y) = (_mm256_loadu_pd(r.as_ptr()), _mm256_loadu_pd(i.as_ptr()));
+            if let Some(s) = scale {
+                x = _mm256_mul_pd(x, _mm256_set1_pd(s));
+                y = _mm256_mul_pd(y, _mm256_set1_pd(s));
+            }
+            let (pr, pi) = cmul(x, y, c);
+            _mm256_storeu_pd(r.as_mut_ptr(), pr);
+            _mm256_storeu_pd(i.as_mut_ptr(), pi);
+        }
+    }
+}
+
+/// [`lane_stage`] on `tier` (AVX2 or the portable loop).
+fn stage_lanes(
+    re: &mut [Lanes],
+    im: &mut [Lanes],
+    len: usize,
+    stage: &[Complex64],
+    tier: SimdTier,
+) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `transform_batch_with_tier` resolved the tier, so the
+        // CPU has AVX2.
+        SimdTier::Avx2 => unsafe { lanes_avx2::radix2_stage(re, im, len, stage) },
+        _ => lane_stage(re, im, len, stage),
+    }
+}
+
+/// [`lane_cmul_rows`] on `tier` (AVX2 or the portable loop).
+fn cmul_rows(
+    re: &mut [Lanes],
+    im: &mut [Lanes],
+    b: &[Complex64],
+    scale: Option<f64>,
+    tier: SimdTier,
+) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `stage_lanes`, the tier was resolved to one the
+        // CPU has.
+        SimdTier::Avx2 => unsafe { lanes_avx2::cmul_rows(re, im, b, scale) },
+        _ => lane_cmul_rows(re, im, b, scale),
     }
 }
 
@@ -278,6 +468,24 @@ impl Radix2Plan {
                 SimdTier::Neon => unsafe { butterfly_neon::radix2_stage(data, len, stage) },
                 _ => scalar_stage(data, len, stage),
             }
+            off += half;
+            len <<= 1;
+        }
+    }
+
+    /// [`execute`](Self::execute) on every lane of a batch: the same
+    /// swaps, then the same stages with the same twiddles.
+    fn execute_lanes(&self, re: &mut [Lanes], im: &mut [Lanes], inverse: bool, tier: SimdTier) {
+        for &(i, j) in &self.swaps {
+            re.swap(i as usize, j as usize);
+            im.swap(i as usize, j as usize);
+        }
+        let tw = if inverse { &self.tw_inv } else { &self.tw_fwd };
+        let mut off = 0usize;
+        let mut len = 2usize;
+        while len <= self.n {
+            let half = len / 2;
+            stage_lanes(re, im, len, &tw[off..off + half], tier);
             off += half;
             len <<= 1;
         }
@@ -475,6 +683,38 @@ impl BluesteinPlan {
             *out = a[k].scale(scale) * chirp[k];
         }
     }
+
+    /// [`execute`](Self::execute) on every lane of a batch, step for
+    /// step: chirp premultiply, zero padding, the inner forward
+    /// transform, the product with the kernel FFT, the inner inverse,
+    /// then the `1/m` scale and the output chirp.
+    fn execute_lanes(
+        &self,
+        re: &mut [Lanes],
+        im: &mut [Lanes],
+        inverse: bool,
+        scratch: &mut FftScratch,
+        tier: SimdTier,
+    ) {
+        let n = re.len();
+        let (chirp, bfft) = if inverse {
+            (&self.chirp_inv, &self.bfft_inv)
+        } else {
+            (&self.chirp_fwd, &self.bfft_fwd)
+        };
+        let (ar, ai) = scratch.ensure_lanes(self.m);
+        ar[..n].copy_from_slice(re);
+        ai[..n].copy_from_slice(im);
+        cmul_rows(&mut ar[..n], &mut ai[..n], chirp, None, tier);
+        ar[n..].fill([0.0; BATCH]);
+        ai[n..].fill([0.0; BATCH]);
+        self.inner.execute_lanes(ar, ai, false, tier);
+        cmul_rows(ar, ai, bfft, None, tier);
+        self.inner.execute_lanes(ar, ai, true, tier);
+        cmul_rows(&mut ar[..n], &mut ai[..n], chirp, Some(1.0 / self.m as f64), tier);
+        re.copy_from_slice(&ar[..n]);
+        im.copy_from_slice(&ai[..n]);
+    }
 }
 
 impl FftPlan {
@@ -561,6 +801,50 @@ impl FftPlan {
     ) {
         self.execute(data, true, scratch, resolve_tier(tier));
         self.normalize(data);
+    }
+
+    /// Transforms [`BATCH`] vectors of this plan's length in place, on
+    /// the active SIMD tier. The vectors are a structure of arrays (see
+    /// [`Lanes`]): element `k` of vector `l` is `re[k][l]` / `im[k][l]`.
+    /// Every lane runs exactly the steps of the one-vector call, so lane
+    /// `l`'s output is bit-identical to [`forward`](Self::forward) or
+    /// [`inverse_unnormalized`](Self::inverse_unnormalized) on vector `l`
+    /// alone. Bluestein lengths borrow `2 * scratch_len()` [`Lanes`] of
+    /// `scratch`; power-of-two lengths none.
+    ///
+    /// # Panics
+    /// Panics if `re` or `im` does not hold `self.len()` elements.
+    pub fn transform_batch(
+        &self,
+        dir: FftDirection,
+        re: &mut [Lanes],
+        im: &mut [Lanes],
+        scratch: &mut FftScratch,
+    ) {
+        self.transform_batch_with_tier(dir, re, im, scratch, simd::active_tier());
+    }
+
+    /// [`transform_batch`](Self::transform_batch) on an explicit SIMD
+    /// tier (scalar fallback when the tier is unavailable on this CPU).
+    /// AVX2 holds one lane per `f64` of a 256-bit register; every other
+    /// tier runs the portable lane loop, the reference.
+    pub fn transform_batch_with_tier(
+        &self,
+        dir: FftDirection,
+        re: &mut [Lanes],
+        im: &mut [Lanes],
+        scratch: &mut FftScratch,
+        tier: SimdTier,
+    ) {
+        assert_eq!(re.len(), self.n, "plan length mismatch");
+        assert_eq!(im.len(), self.n, "plan length mismatch");
+        let inverse = dir == FftDirection::InverseUnnormalized;
+        let tier = resolve_tier(tier);
+        match &self.kind {
+            PlanKind::Trivial => {}
+            PlanKind::Radix2(p) => p.execute_lanes(re, im, inverse, tier),
+            PlanKind::Bluestein(p) => p.execute_lanes(re, im, inverse, scratch, tier),
+        }
     }
 
     fn normalize(&self, data: &mut [Complex64]) {

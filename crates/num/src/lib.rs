@@ -40,7 +40,7 @@ pub mod stats;
 pub mod svd;
 
 pub use complex::{c64, Complex64};
-pub use fft::{FftPlan, FftPlanner, FftScratch};
+pub use fft::{FftDirection, FftPlan, FftPlanner, FftScratch, Lanes, BATCH};
 pub use health::DegradedStats;
 pub use matrix::CMatrix;
 pub use rng::SimRng;

@@ -2,8 +2,11 @@
 
 use rem_integration::{check, Gen};
 use rem_num::fft::{dft_naive, fft_vec, ifft_vec};
+use rem_num::simd::SimdTier;
 use rem_num::svd::svd;
-use rem_num::{c64, CMatrix, Complex64, FftPlan, FftPlanner, FftScratch};
+use rem_num::{
+    c64, CMatrix, Complex64, FftDirection, FftPlan, FftPlanner, FftScratch, Lanes, BATCH,
+};
 
 /// Deterministic non-trivial input for length-parameterised FFT tests.
 fn test_signal(n: usize) -> Vec<Complex64> {
@@ -311,6 +314,110 @@ fn cmul_simd_is_bit_identical_on_unaligned_slices() {
                 rem_num::simd::active_tier(),
             );
             assert_eq!(reference, fast[lo..].to_vec());
+        },
+    );
+}
+
+/// One batched-transform case: `vectors.len()` live lanes of length
+/// `n`, transformed in direction `dir`.
+#[derive(Debug)]
+struct BatchCase {
+    n: usize,
+    dir: FftDirection,
+    vectors: Vec<Vec<Complex64>>,
+}
+
+/// An entry that is, at `specials` > 0, sometimes ±0 or subnormal and,
+/// at `specials` > 1, sometimes ±Inf.
+fn special_entry(g: &mut Gen, specials: usize) -> f64 {
+    const ROUND: [f64; 4] = [0.0, -0.0, f64::MIN_POSITIVE / 8.0, -f64::MIN_POSITIVE / 3.0];
+    const INF: [f64; 2] = [f64::INFINITY, f64::NEG_INFINITY];
+    match g.range(0usize..16) {
+        0 if specials > 0 => g.pick(&ROUND),
+        1 if specials > 1 => g.pick(&INF),
+        _ => g.range(-4.0..4.0),
+    }
+}
+
+/// Bitwise equality, except that any NaN equals any NaN: tiers may
+/// propagate different NaN payloads, never a NaN in another place.
+fn same_bits(a: f64, b: f64) -> bool {
+    if a.is_nan() || b.is_nan() {
+        a.is_nan() && b.is_nan()
+    } else {
+        a.to_bits() == b.to_bits()
+    }
+}
+
+#[test]
+fn batched_lanes_are_bit_identical_to_one_vector_plans() {
+    // Every length once per direction, 1-4 live lanes, on each tier.
+    // Idle lanes hold NaN, which must not reach a live lane.
+    let lengths: Vec<usize> = (1..=64).chain([72, 128, 600, 1200]).collect();
+    let mut case = 0usize;
+    check(
+        "batched_lanes_are_bit_identical_to_one_vector_plans",
+        2 * lengths.len(),
+        |g| {
+            let n = lengths[case / 2];
+            let dir = if case.is_multiple_of(2) {
+                FftDirection::Forward
+            } else {
+                FftDirection::InverseUnnormalized
+            };
+            case += 1;
+            let live = g.range(1..=BATCH);
+            let specials = g.range(0usize..3);
+            let vectors = (0..live)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| c64(special_entry(g, specials), special_entry(g, specials)))
+                        .collect()
+                })
+                .collect();
+            BatchCase { n, dir, vectors }
+        },
+        |c| {
+            let plan = FftPlan::new(c.n);
+            let mut scratch = FftScratch::new();
+            let want: Vec<Vec<Complex64>> = c
+                .vectors
+                .iter()
+                .map(|v| {
+                    let mut v = v.clone();
+                    match c.dir {
+                        FftDirection::Forward => plan.forward(&mut v, &mut scratch),
+                        FftDirection::InverseUnnormalized => {
+                            plan.inverse_unnormalized(&mut v, &mut scratch)
+                        }
+                    }
+                    v
+                })
+                .collect();
+            for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Neon] {
+                let mut re: Vec<Lanes> = vec![[f64::NAN; BATCH]; c.n];
+                let mut im: Vec<Lanes> = vec![[f64::NAN; BATCH]; c.n];
+                for (l, v) in c.vectors.iter().enumerate() {
+                    for (k, z) in v.iter().enumerate() {
+                        re[k][l] = z.re;
+                        im[k][l] = z.im;
+                    }
+                }
+                plan.transform_batch_with_tier(c.dir, &mut re, &mut im, &mut scratch, tier);
+                for (l, w) in want.iter().enumerate() {
+                    for (k, z) in w.iter().enumerate() {
+                        assert!(
+                            same_bits(re[k][l], z.re) && same_bits(im[k][l], z.im),
+                            "tier={} lane={l} k={k}: got ({}, {}), want ({}, {})",
+                            tier.name(),
+                            re[k][l],
+                            im[k][l],
+                            z.re,
+                            z.im
+                        );
+                    }
+                }
+            }
         },
     );
 }

@@ -10,11 +10,12 @@
 //! [`rem_num::simd`] tier. Each next-state has exactly two
 //! predecessors (differing only in their LSB) and a branch cost drawn
 //! from a 4-entry table, so the update for a group of consecutive
-//! next-states vectorises cleanly: AVX2 settles 4 states per iteration
-//! with a gathered cost load, NEON settles 2. Decisions are
-//! bit-identical to the scalar loop (same IEEE-754 additions, same
-//! strict-less tie-breaking towards the even predecessor) and gated by
-//! the same tier-equivalence tests as the FFT and demapper kernels.
+//! next-states vectorises cleanly: AVX2 settles 4 states per iteration,
+//! reading their costs with one lane permute of the cost vector, NEON
+//! settles 2. Decisions are bit-identical to the scalar loop (same
+//! IEEE-754 additions, same strict-less tie-breaking towards the even
+//! predecessor) and gated by the same tier-equivalence tests as the FFT
+//! and demapper kernels.
 
 use rem_num::simd::{self, SimdTier};
 
@@ -123,15 +124,44 @@ mod acs {
         t
     }
 
+    /// `PERM0[8g..8g + 8]` is the `_mm256_permutevar8x32_ps` index
+    /// vector that moves, for each `ns = 4g + i`, cost `IDX0[ns]` into
+    /// 64-bit lane `i`: entry `IDX0[ns]` becomes the 32-bit lane pair
+    /// `2 * IDX0[ns], 2 * IDX0[ns] + 1` of the 4-entry cost vector.
+    #[cfg(target_arch = "x86_64")]
+    pub(super) const PERM0: [i32; 2 * STATES] = build_perm(&IDX0);
+    /// Same for [`IDX1`].
+    #[cfg(target_arch = "x86_64")]
+    pub(super) const PERM1: [i32; 2 * STATES] = build_perm(&IDX1);
+
+    #[cfg(target_arch = "x86_64")]
+    const fn build_perm(idx: &[i64; STATES]) -> [i32; 2 * STATES] {
+        let mut p = [0i32; 2 * STATES];
+        let mut i = 0;
+        while i < STATES {
+            p[2 * i] = 2 * idx[i] as i32;
+            p[2 * i + 1] = 2 * idx[i] as i32 + 1;
+            i += 1;
+        }
+        p
+    }
+
     /// One AVX2 trellis step: all 64 next-state metrics and the packed
     /// traceback word, 4 states per iteration.
     ///
     /// The predecessors of group `ns = 4g..4g+4` live at metric indices
     /// `base..base+8` with `base = 8*(g mod 8)`; an unpack/permute pair
-    /// splits them into even (`s0`) and odd (`s1`) metric vectors, and
-    /// the per-`ns` cost table entries come from a 64-bit gather on the
-    /// 4-entry `costs`. Comparison is `_CMP_LT_OQ` so ties and INF-only
-    /// groups resolve exactly like the scalar strict `<`.
+    /// splits them into even (`s0`) and odd (`s1`) metric vectors. The
+    /// 4-entry `costs` is loaded once per step, and each group's
+    /// per-`ns` costs are one [`PERM0`]/[`PERM1`] lane permute of it,
+    /// which moves the costs' bits unchanged. Comparison is
+    /// `_CMP_LT_OQ` so ties and INF-only groups resolve exactly like the
+    /// scalar strict `<`.
+    ///
+    /// # Safety
+    /// Requires a CPU with AVX2. Group `g < 16` reads `metric[8(g mod
+    /// 8)..+8]`, `PERM0`/`PERM1[8g..8g + 8]` and writes `next[4g..4g +
+    /// 4]`, all in bounds.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn step_avx2(
@@ -141,6 +171,7 @@ mod acs {
     ) -> u64 {
         use std::arch::x86_64::*;
         let mut tb = 0u64;
+        let cost = _mm256_castpd_ps(_mm256_loadu_pd(costs.as_ptr()));
         for g in 0..STATES / 4 {
             let base = 8 * (g & (STATES / 8 - 1));
             let a = _mm256_loadu_pd(metric.as_ptr().add(base));
@@ -151,10 +182,10 @@ mod acs {
             let hi = _mm256_unpackhi_pd(a, b);
             let even = _mm256_permute4x64_pd::<0b1101_1000>(lo);
             let odd = _mm256_permute4x64_pd::<0b1101_1000>(hi);
-            let i0 = _mm256_loadu_si256(IDX0.as_ptr().add(4 * g) as *const __m256i);
-            let i1 = _mm256_loadu_si256(IDX1.as_ptr().add(4 * g) as *const __m256i);
-            let c0 = _mm256_i64gather_pd::<8>(costs.as_ptr(), i0);
-            let c1 = _mm256_i64gather_pd::<8>(costs.as_ptr(), i1);
+            let p0 = _mm256_loadu_si256(PERM0.as_ptr().add(8 * g) as *const __m256i);
+            let p1 = _mm256_loadu_si256(PERM1.as_ptr().add(8 * g) as *const __m256i);
+            let c0 = _mm256_castps_pd(_mm256_permutevar8x32_ps(cost, p0));
+            let c1 = _mm256_castps_pd(_mm256_permutevar8x32_ps(cost, p1));
             let cand0 = _mm256_add_pd(even, c0);
             let cand1 = _mm256_add_pd(odd, c1);
             let take = _mm256_cmp_pd::<_CMP_LT_OQ>(cand1, cand0);
@@ -671,6 +702,20 @@ mod tests {
                 let o = outputs(s, bit);
                 let want = (o[0] as i64) | ((o[1] as i64) << 1);
                 assert_eq!(table[ns], want, "ns={ns} lsb={lsb}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn acs_permute_tables_select_the_indexed_costs() {
+        for (perm, idx) in [(&acs::PERM0, &acs::IDX0), (&acs::PERM1, &acs::IDX1)] {
+            for ns in 0..STATES {
+                let lanes = [perm[2 * ns], perm[2 * ns + 1]];
+                assert_eq!(lanes, [2 * idx[ns] as i32, 2 * idx[ns] as i32 + 1], "ns={ns}");
+                // A permute index only sees the low 3 bits: every pair
+                // must name one of the 4 costs, whole.
+                assert!((0..8).contains(&lanes[0]) && lanes[0] % 2 == 0, "ns={ns}");
             }
         }
     }

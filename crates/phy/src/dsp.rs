@@ -3,9 +3,9 @@
 //! Every Monte-Carlo trial runs the same transforms over the same grid
 //! sizes, so the expensive setup — FFT plans (twiddle tables, bit
 //! reversal, Bluestein kernels), the Viterbi traceback trellis, and the
-//! row/column/LLR working buffers — is hoisted into a [`DspScratch`]
-//! that a worker builds once and threads through every block it
-//! simulates (see `rem_exec::par_map_with`).
+//! batched-line, row/column and LLR working buffers — is hoisted into a
+//! [`DspScratch`] that a worker builds once and threads through every
+//! block it simulates (see `rem_exec::par_map_with`).
 //!
 //! Determinism: scratch contents are caches and fully-overwritten
 //! buffers — they never influence computed values, so results are
@@ -13,18 +13,24 @@
 //! trials on any thread count.
 
 use crate::convcode::TrellisScratch;
-use rem_num::{Complex64, FftPlanner, FftScratch};
+use rem_num::{c64, CMatrix, Complex64, FftDirection, FftPlanner, FftScratch, Lanes, BATCH};
 use std::cell::RefCell;
 
 /// Per-worker scratch for the coded-block pipeline: FFT planner + plan
-/// scratch, matrix row/column buffers, the demapper's LLR buffer and
-/// the Viterbi trellis.
+/// scratch (one-vector and batched), the batched grid lines, matrix
+/// row/column buffers, the demapper's LLR buffer and the Viterbi
+/// trellis.
 #[derive(Debug, Default)]
 pub struct DspScratch {
     /// Cached FFT plans keyed by length.
     pub(crate) planner: FftPlanner,
-    /// Bluestein convolution scratch shared by every plan.
+    /// Bluestein convolution scratch shared by every plan, one-vector
+    /// and batched.
     pub(crate) fft: FftScratch,
+    /// [`BATCH`] grid lines as a structure of arrays, one [`Lanes`] per
+    /// element: the real parts here, the imaginary parts in `lines_im`.
+    lines_re: Vec<Lanes>,
+    lines_im: Vec<Lanes>,
     /// Row-length working buffer (grid `n`, or the time-domain FFT size).
     pub(crate) row: Vec<Complex64>,
     /// Column-length working buffer (grid `m`).
@@ -61,6 +67,45 @@ impl DspScratch {
         plan.inverse_unnormalized(data, &mut self.fft);
     }
 
+    /// Transforms every row or every column of `mat` in place, [`BATCH`]
+    /// lines per batched plan call: lane `l` of a batch carries line
+    /// `first + l`, and a short last batch zero-fills its idle lanes and
+    /// drops their output. Each line's result is bit-identical to the
+    /// one-vector plan call on it.
+    pub(crate) fn transform_lines(&mut self, mat: &mut CMatrix, axis: Axis, dir: FftDirection) {
+        let (r, c) = mat.shape();
+        // Line `i`, element `j` sits at `data[i * line_step + j * elem_step]`.
+        let (lines, len, line_step, elem_step) = match axis {
+            Axis::Rows => (r, c, c, 1),
+            Axis::Cols => (c, r, 1, c),
+        };
+        let plan = self.planner.plan(len);
+        self.lines_re.resize(len, [0.0; BATCH]);
+        self.lines_im.resize(len, [0.0; BATCH]);
+        let data = mat.as_mut_slice();
+        for first in (0..lines).step_by(BATCH) {
+            let live = (lines - first).min(BATCH);
+            let lanes = self.lines_re.iter_mut().zip(self.lines_im.iter_mut());
+            for (j, (re, im)) in lanes.enumerate() {
+                for l in 0..BATCH {
+                    let z = if l < live {
+                        data[(first + l) * line_step + j * elem_step]
+                    } else {
+                        Complex64::ZERO
+                    };
+                    re[l] = z.re;
+                    im[l] = z.im;
+                }
+            }
+            plan.transform_batch(dir, &mut self.lines_re, &mut self.lines_im, &mut self.fft);
+            for (j, (re, im)) in self.lines_re.iter().zip(&self.lines_im).enumerate() {
+                for l in 0..live {
+                    data[(first + l) * line_step + j * elem_step] = c64(re[l], im[l]);
+                }
+            }
+        }
+    }
+
     /// Resizes an internal buffer to exactly `len` elements and returns
     /// it (contents arbitrary — callers must overwrite).
     pub(crate) fn buf(v: &mut Vec<Complex64>, len: usize) -> &mut [Complex64] {
@@ -69,6 +114,13 @@ impl DspScratch {
         }
         &mut v[..]
     }
+}
+
+/// The lines of a matrix [`DspScratch::transform_lines`] transforms.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Axis {
+    Rows,
+    Cols,
 }
 
 thread_local! {

@@ -13,8 +13,8 @@
 //! `n`). So a `CMatrix` in the TF domain has entry `(m, n) = X[n, m]`
 //! of the paper.
 
-use crate::dsp::{with_thread_scratch, DspScratch};
-use rem_num::CMatrix;
+use crate::dsp::{with_thread_scratch, Axis, DspScratch};
+use rem_num::{CMatrix, FftDirection};
 
 /// SFFT, paper convention (no normalisation):
 /// `X[n, m] = sum_{k, l} x[k, l] e^{-j 2 pi (m k / M - n l / N)}`.
@@ -32,26 +32,15 @@ pub fn sfft(x: &CMatrix) -> CMatrix {
 /// # Panics
 /// Panics if `out` is not the same shape as `x`.
 pub fn sfft_into(x: &CMatrix, out: &mut CMatrix, ws: &mut DspScratch) {
-    let (m, n) = x.shape();
-    assert_eq!(out.shape(), (m, n), "output shape mismatch");
+    assert_eq!(out.shape(), x.shape(), "output shape mismatch");
+    out.as_mut_slice().copy_from_slice(x.as_slice());
     // Step 1: unnormalised inverse DFT along the Doppler axis (l -> n),
-    // written straight into `out`'s rows. The plan's unnormalised
-    // inverse replaces the old `ifft` + multiply-back-by-`n` pair.
-    let row_plan = ws.planner.plan(n);
-    for k in 0..m {
-        let row = out.row_mut(k);
-        row.copy_from_slice(x.row(k));
-        row_plan.inverse_unnormalized(row, &mut ws.fft);
-    }
-    // Step 2: forward DFT along the delay axis (k -> m), in place on
-    // `out`'s columns.
-    let col_plan = ws.planner.plan(m);
-    let col = DspScratch::buf(&mut ws.col, m);
-    for nn in 0..n {
-        out.copy_col_into(nn, col);
-        col_plan.forward(col, &mut ws.fft);
-        out.set_col(nn, col);
-    }
+    // four rows per batched transform. The plan's unnormalised inverse
+    // replaces the old `ifft` + multiply-back-by-`n` pair.
+    ws.transform_lines(out, Axis::Rows, FftDirection::InverseUnnormalized);
+    // Step 2: forward DFT along the delay axis (k -> m), four columns
+    // per batched transform.
+    ws.transform_lines(out, Axis::Cols, FftDirection::Forward);
 }
 
 /// ISFFT, paper convention (includes the `1/(N M)` factor):
@@ -72,20 +61,14 @@ pub fn isfft(big_x: &CMatrix) -> CMatrix {
 pub fn isfft_into(big_x: &CMatrix, out: &mut CMatrix, ws: &mut DspScratch) {
     let (m, n) = big_x.shape();
     assert_eq!(out.shape(), (m, n), "output shape mismatch");
-    // Step 1: unnormalised inverse DFT along the delay axis (m -> k).
-    let col_plan = ws.planner.plan(m);
-    let col = DspScratch::buf(&mut ws.col, m);
-    for nn in 0..n {
-        big_x.copy_col_into(nn, col);
-        col_plan.inverse_unnormalized(col, &mut ws.fft);
-        out.set_col(nn, col);
-    }
-    // Step 2: forward DFT along the time axis (n -> l), then one fused
-    // `1/(NM)` pass (was: 1/M inside ifft + 1/N per element).
-    let row_plan = ws.planner.plan(n);
-    for k in 0..m {
-        row_plan.forward(out.row_mut(k), &mut ws.fft);
-    }
+    out.as_mut_slice().copy_from_slice(big_x.as_slice());
+    // Step 1: unnormalised inverse DFT along the delay axis (m -> k),
+    // four columns per batched transform.
+    ws.transform_lines(out, Axis::Cols, FftDirection::InverseUnnormalized);
+    // Step 2: forward DFT along the time axis (n -> l), four rows per
+    // batched transform, then one fused `1/(NM)` pass (was: 1/M inside
+    // ifft + 1/N per element).
+    ws.transform_lines(out, Axis::Rows, FftDirection::Forward);
     out.scale_mut(1.0 / (m * n) as f64);
 }
 
@@ -128,7 +111,7 @@ pub fn otfs_demodulate_into(x_tf: &CMatrix, out: &mut CMatrix, ws: &mut DspScrat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rem_num::{c64, Complex64};
+    use rem_num::{c64, Complex64, FftPlanner, FftScratch};
     use std::f64::consts::PI;
 
     fn test_grid(m: usize, n: usize) -> CMatrix {
@@ -231,6 +214,64 @@ mod tests {
 
             otfs_demodulate_into(&x, &mut out, &mut ws);
             assert_eq!(otfs_demodulate(&x).as_slice(), out.as_slice(), "demod ({m},{n})");
+        }
+    }
+
+    /// The SFFT as one-vector plan calls: every row, then every column,
+    /// one transform each.
+    fn reference_sfft(x: &CMatrix) -> CMatrix {
+        let (m, n) = x.shape();
+        let (mut planner, mut scratch) = (FftPlanner::new(), FftScratch::new());
+        let mut out = x.clone();
+        let row_plan = planner.plan(n);
+        for k in 0..m {
+            row_plan.inverse_unnormalized(out.row_mut(k), &mut scratch);
+        }
+        let col_plan = planner.plan(m);
+        let mut col = vec![Complex64::ZERO; m];
+        for c in 0..n {
+            out.copy_col_into(c, &mut col);
+            col_plan.forward(&mut col, &mut scratch);
+            out.set_col(c, &col);
+        }
+        out
+    }
+
+    /// The ISFFT as one-vector plan calls: every column, then every row.
+    fn reference_isfft(x: &CMatrix) -> CMatrix {
+        let (m, n) = x.shape();
+        let (mut planner, mut scratch) = (FftPlanner::new(), FftScratch::new());
+        let mut out = x.clone();
+        let col_plan = planner.plan(m);
+        let mut col = vec![Complex64::ZERO; m];
+        for c in 0..n {
+            out.copy_col_into(c, &mut col);
+            col_plan.inverse_unnormalized(&mut col, &mut scratch);
+            out.set_col(c, &col);
+        }
+        let row_plan = planner.plan(n);
+        for k in 0..m {
+            row_plan.forward(out.row_mut(k), &mut scratch);
+        }
+        out.scale_mut(1.0 / (m * n) as f64);
+        out
+    }
+
+    fn bits(x: &CMatrix) -> Vec<(u64, u64)> {
+        x.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn batched_grid_transforms_match_one_vector_loops_bit_for_bit() {
+        let mut ws = DspScratch::new();
+        let shapes = (1..=16usize).flat_map(|m| (1..=16usize).map(move |n| (m, n)));
+        for (m, n) in shapes.chain([(12, 14), (48, 14)]) {
+            let x = test_grid(m, n);
+            let mut out = CMatrix::zeros(m, n);
+            sfft_into(&x, &mut out, &mut ws);
+            assert_eq!(bits(&out), bits(&reference_sfft(&x)), "sfft ({m},{n})");
+            isfft_into(&x, &mut out, &mut ws);
+            assert_eq!(bits(&out), bits(&reference_isfft(&x)), "isfft ({m},{n})");
         }
     }
 
