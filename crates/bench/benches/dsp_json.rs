@@ -42,7 +42,9 @@ use std::hint::black_box;
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     let (warmup, repeats, iters) = if smoke { (2, 3, 5) } else { (50, 7, 400) };
-    let speedup = |base: Timing, fast: Timing| base.median_us / fast.median_us;
+    // Ratios of medians, rounded like the timings.
+    let speedup =
+        |base: Timing, fast: Timing| (100.0 * base.median_us / fast.median_us).round() / 100.0;
     let tier = simd::active_tier();
 
     let mut rng = rng_from_seed(1);
