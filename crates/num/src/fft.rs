@@ -221,7 +221,7 @@ pub enum FftDirection {
 
 /// `a * b` in every lane with `b` shared, operand for operand the
 /// scalar `Complex64` product `(ar*br - ai*bi, ar*bi + ai*br)`.
-#[inline]
+#[inline(always)]
 fn cmul_lanes(ar: &Lanes, ai: &Lanes, b: Complex64) -> (Lanes, Lanes) {
     let mut re = [0.0; BATCH];
     let mut im = [0.0; BATCH];
@@ -235,7 +235,9 @@ fn cmul_lanes(ar: &Lanes, ai: &Lanes, b: Complex64) -> (Lanes, Lanes) {
 /// One portable radix-2 stage over a batch: [`scalar_stage`]'s
 /// butterfly `u + v*w` / `u - v*w` in every lane. With
 /// [`lane_cmul_rows`] this is the batched reference every tier is
-/// held to.
+/// held to. Always inlined, so [`lanes_avx2`] compiles this same
+/// loop for AVX2.
+#[inline(always)]
 fn lane_stage(re: &mut [Lanes], im: &mut [Lanes], len: usize, stage: &[Complex64]) {
     let half = len / 2;
     for (rb, ib) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
@@ -257,7 +259,9 @@ fn lane_stage(re: &mut [Lanes], im: &mut [Lanes], len: usize, stage: &[Complex64
 
 /// Element `k` of every lane times `b[k]`, in place, after scaling it
 /// by `scale` when one is given: the chirp, kernel and output products
-/// of [`BluesteinPlan::execute`] over a batch.
+/// of [`BluesteinPlan::execute`] over a batch. Always inlined, like
+/// [`lane_stage`].
+#[inline(always)]
 fn lane_cmul_rows(re: &mut [Lanes], im: &mut [Lanes], b: &[Complex64], scale: Option<f64>) {
     for ((r, i), &c) in re.iter_mut().zip(im.iter_mut()).zip(b) {
         if let Some(s) = scale {
@@ -268,24 +272,13 @@ fn lane_cmul_rows(re: &mut [Lanes], im: &mut [Lanes], b: &[Complex64], scale: Op
     }
 }
 
-/// AVX2 twins of [`lane_stage`] and [`lane_cmul_rows`]: a [`Lanes`] is
-/// one `__m256d`, one lane per vector, so no shuffles are needed and
-/// every lane runs the portable expression operation for operation (no
-/// FMA). Every load and store covers exactly the four `f64` of one
-/// `&Lanes`/`&mut Lanes`.
+/// [`lane_stage`] and [`lane_cmul_rows`] compiled for AVX2: the same
+/// source, inlined into functions that may use AVX2, so the 256-bit
+/// registers carry the lanes. Rust never contracts a multiply and an
+/// add into an FMA, so every lane keeps the portable loop's bits.
 #[cfg(target_arch = "x86_64")]
 mod lanes_avx2 {
     use super::{Complex64, Lanes};
-    use std::arch::x86_64::*;
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn cmul(ar: __m256d, ai: __m256d, b: Complex64) -> (__m256d, __m256d) {
-        let (br, bi) = (_mm256_set1_pd(b.re), _mm256_set1_pd(b.im));
-        let re = _mm256_sub_pd(_mm256_mul_pd(ar, br), _mm256_mul_pd(ai, bi));
-        let im = _mm256_add_pd(_mm256_mul_pd(ar, bi), _mm256_mul_pd(ai, br));
-        (re, im)
-    }
 
     /// [`super::lane_stage`].
     ///
@@ -298,20 +291,7 @@ mod lanes_avx2 {
         len: usize,
         stage: &[Complex64],
     ) {
-        let half = len / 2;
-        for (rb, ib) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
-            let (ru, rv) = rb.split_at_mut(half);
-            let (iu, iv) = ib.split_at_mut(half);
-            let pairs = ru.iter_mut().zip(iu).zip(rv.iter_mut().zip(iv));
-            for (((ur, ui), (vr, vi)), &w) in pairs.zip(stage) {
-                let (tr, ti) = cmul(_mm256_loadu_pd(vr.as_ptr()), _mm256_loadu_pd(vi.as_ptr()), w);
-                let (a, b) = (_mm256_loadu_pd(ur.as_ptr()), _mm256_loadu_pd(ui.as_ptr()));
-                _mm256_storeu_pd(ur.as_mut_ptr(), _mm256_add_pd(a, tr));
-                _mm256_storeu_pd(ui.as_mut_ptr(), _mm256_add_pd(b, ti));
-                _mm256_storeu_pd(vr.as_mut_ptr(), _mm256_sub_pd(a, tr));
-                _mm256_storeu_pd(vi.as_mut_ptr(), _mm256_sub_pd(b, ti));
-            }
-        }
+        super::lane_stage(re, im, len, stage)
     }
 
     /// [`super::lane_cmul_rows`].
@@ -325,16 +305,7 @@ mod lanes_avx2 {
         b: &[Complex64],
         scale: Option<f64>,
     ) {
-        for ((r, i), &c) in re.iter_mut().zip(im.iter_mut()).zip(b) {
-            let (mut x, mut y) = (_mm256_loadu_pd(r.as_ptr()), _mm256_loadu_pd(i.as_ptr()));
-            if let Some(s) = scale {
-                x = _mm256_mul_pd(x, _mm256_set1_pd(s));
-                y = _mm256_mul_pd(y, _mm256_set1_pd(s));
-            }
-            let (pr, pi) = cmul(x, y, c);
-            _mm256_storeu_pd(r.as_mut_ptr(), pr);
-            _mm256_storeu_pd(i.as_mut_ptr(), pi);
-        }
+        super::lane_cmul_rows(re, im, b, scale)
     }
 }
 

@@ -3,7 +3,7 @@
 //! Every Monte-Carlo trial runs the same transforms over the same grid
 //! sizes, so the expensive setup — FFT plans (twiddle tables, bit
 //! reversal, Bluestein kernels), the Viterbi traceback trellis, and the
-//! batched-line, row/column and LLR working buffers — is hoisted into a
+//! batched-line, OFDM symbol and LLR working buffers — is hoisted into a
 //! [`DspScratch`] that a worker builds once and threads through every
 //! block it simulates (see `rem_exec::par_map_with`).
 //!
@@ -17,8 +17,8 @@ use rem_num::{c64, CMatrix, Complex64, FftDirection, FftPlanner, FftScratch, Lan
 use std::cell::RefCell;
 
 /// Per-worker scratch for the coded-block pipeline: FFT planner + plan
-/// scratch (one-vector and batched), the batched grid lines, matrix
-/// row/column buffers, the demapper's LLR buffer and the Viterbi
+/// scratch (one-vector and batched), the batched grid lines, the OFDM
+/// symbol buffer, the demapper's LLR buffer and the Viterbi
 /// trellis.
 #[derive(Debug, Default)]
 pub struct DspScratch {
@@ -31,10 +31,8 @@ pub struct DspScratch {
     /// element: the real parts here, the imaginary parts in `lines_im`.
     lines_re: Vec<Lanes>,
     lines_im: Vec<Lanes>,
-    /// Row-length working buffer (grid `n`, or the time-domain FFT size).
-    pub(crate) row: Vec<Complex64>,
-    /// Column-length working buffer (grid `m`).
-    pub(crate) col: Vec<Complex64>,
+    /// Time-domain OFDM symbol buffer (the FFT size).
+    pub(crate) symbol: Vec<Complex64>,
     /// Soft-demapper LLR accumulation buffer.
     pub(crate) llrs: Vec<f64>,
     /// Flat bit-packed Viterbi traceback.

@@ -66,7 +66,7 @@ pub fn td_modulate_with(grid_data: &CMatrix, p: &TdParams, ws: &mut DspScratch) 
     assert!(p.fft_size.is_power_of_two(), "fft_size must be a power of two");
     let mut out = Vec::with_capacity(n * p.symbol_len());
     let plan = ws.planner.plan(p.fft_size);
-    let buf = DspScratch::buf(&mut ws.row, p.fft_size);
+    let buf = DspScratch::buf(&mut ws.symbol, p.fft_size);
     for sym in 0..n {
         for b in buf.iter_mut() {
             *b = Complex64::ZERO;
@@ -126,7 +126,7 @@ pub fn td_demodulate_with(
     assert!(samples.len() >= n * p.symbol_len(), "not enough samples");
     let mut out = CMatrix::zeros(m, n);
     let plan = ws.planner.plan(p.fft_size);
-    let buf = DspScratch::buf(&mut ws.row, p.fft_size);
+    let buf = DspScratch::buf(&mut ws.symbol, p.fft_size);
     // Inverse of the modulator's N/sqrt(M) amplitude scaling.
     let amp = p.fft_size as f64 / (m as f64).sqrt();
     for sym in 0..n {

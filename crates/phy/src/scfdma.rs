@@ -8,8 +8,8 @@
 //! side-effect that the time-domain envelope is much closer to
 //! single-carrier (lower PAPR).
 
-use crate::dsp::{with_thread_scratch, DspScratch};
-use rem_num::{CMatrix, Complex64};
+use crate::dsp::{with_thread_scratch, Axis, DspScratch};
+use rem_num::{CMatrix, Complex64, FftDirection};
 
 /// DFT-spreads each OFDM symbol (column): the `M` constellation
 /// symbols of a column are replaced by their unitary DFT before
@@ -23,24 +23,15 @@ pub fn scfdma_precode(grid_data: &CMatrix) -> CMatrix {
 }
 
 /// [`scfdma_precode`] into a caller-provided output matrix with reused
-/// plans and buffers.
+/// plans and buffers, four columns per batched transform.
 ///
 /// # Panics
 /// Panics if `out` is not the same shape as `grid_data`.
 pub fn scfdma_precode_into(grid_data: &CMatrix, out: &mut CMatrix, ws: &mut DspScratch) {
-    let (m, n) = grid_data.shape();
-    assert_eq!(out.shape(), (m, n), "output shape mismatch");
-    let scale = 1.0 / (m as f64).sqrt();
-    let plan = ws.planner.plan(m);
-    let col = DspScratch::buf(&mut ws.col, m);
-    for sym in 0..n {
-        grid_data.copy_col_into(sym, col);
-        plan.forward(col, &mut ws.fft);
-        for v in col.iter_mut() {
-            *v = v.scale(scale);
-        }
-        out.set_col(sym, col);
-    }
+    assert_eq!(out.shape(), grid_data.shape(), "output shape mismatch");
+    out.as_mut_slice().copy_from_slice(grid_data.as_slice());
+    ws.transform_lines(out, Axis::Cols, FftDirection::Forward);
+    out.scale_mut(1.0 / (grid_data.rows() as f64).sqrt());
 }
 
 /// Inverse of [`scfdma_precode`].
@@ -53,25 +44,17 @@ pub fn scfdma_deprecode(grid_data: &CMatrix) -> CMatrix {
 }
 
 /// [`scfdma_deprecode`] into a caller-provided output matrix with
-/// reused plans and buffers. The inverse transform's `1/M` and the
-/// unitary `sqrt(M)` are fused into a single `1/sqrt(M)` pass.
+/// reused plans and buffers, four columns per batched transform. The
+/// inverse transform's `1/M` and the unitary `sqrt(M)` are fused into a
+/// single `1/sqrt(M)` pass.
 ///
 /// # Panics
 /// Panics if `out` is not the same shape as `grid_data`.
 pub fn scfdma_deprecode_into(grid_data: &CMatrix, out: &mut CMatrix, ws: &mut DspScratch) {
-    let (m, n) = grid_data.shape();
-    assert_eq!(out.shape(), (m, n), "output shape mismatch");
-    let scale = 1.0 / (m as f64).sqrt();
-    let plan = ws.planner.plan(m);
-    let col = DspScratch::buf(&mut ws.col, m);
-    for sym in 0..n {
-        grid_data.copy_col_into(sym, col);
-        plan.inverse_unnormalized(col, &mut ws.fft);
-        for v in col.iter_mut() {
-            *v = v.scale(scale);
-        }
-        out.set_col(sym, col);
-    }
+    assert_eq!(out.shape(), grid_data.shape(), "output shape mismatch");
+    out.as_mut_slice().copy_from_slice(grid_data.as_slice());
+    ws.transform_lines(out, Axis::Cols, FftDirection::InverseUnnormalized);
+    out.scale_mut(1.0 / (grid_data.rows() as f64).sqrt());
 }
 
 /// Peak-to-average power ratio of a sample stream, in dB.
@@ -91,6 +74,7 @@ mod tests {
     use crate::qam::{modulate, Modulation};
     use rand::Rng;
     use rem_num::rng::rng_from_seed;
+    use rem_num::{FftPlanner, FftScratch};
 
     fn random_qpsk_grid(m: usize, n: usize, seed: u64) -> CMatrix {
         let mut rng = rng_from_seed(seed);
@@ -115,6 +99,47 @@ mod tests {
             assert_eq!(scfdma_precode(&x).as_slice(), out.as_slice(), "precode ({m},{n})");
             scfdma_deprecode_into(&x, &mut out, &mut ws);
             assert_eq!(scfdma_deprecode(&x).as_slice(), out.as_slice(), "deprecode ({m},{n})");
+        }
+    }
+
+    /// Per-column one-vector plan calls, then the `1/sqrt(M)` scale.
+    fn reference(x: &CMatrix, dir: FftDirection) -> CMatrix {
+        let (m, n) = x.shape();
+        let (mut planner, mut scratch) = (FftPlanner::new(), FftScratch::new());
+        let plan = planner.plan(m);
+        let mut out = x.clone();
+        let mut col = vec![Complex64::ZERO; m];
+        for c in 0..n {
+            out.copy_col_into(c, &mut col);
+            match dir {
+                FftDirection::Forward => plan.forward(&mut col, &mut scratch),
+                FftDirection::InverseUnnormalized => {
+                    plan.inverse_unnormalized(&mut col, &mut scratch)
+                }
+            }
+            out.set_col(c, &col);
+        }
+        out.scale_mut(1.0 / (m as f64).sqrt());
+        out
+    }
+
+    #[test]
+    fn batched_columns_match_one_vector_plans_bit_for_bit() {
+        let bits = |x: &CMatrix| -> Vec<(u64, u64)> {
+            x.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let mut ws = DspScratch::new();
+        for (m, n) in [(1usize, 1usize), (5, 3), (8, 4), (12, 14), (7, 9), (48, 14)] {
+            let x = CMatrix::from_fn(m, n, |r, c| {
+                rem_num::c64((r as f64 * 0.3 + c as f64).sin(), (r as f64 - 0.7 * c as f64).cos())
+            });
+            let mut out = CMatrix::zeros(m, n);
+            scfdma_precode_into(&x, &mut out, &mut ws);
+            let want = reference(&x, FftDirection::Forward);
+            assert_eq!(bits(&out), bits(&want), "precode ({m},{n})");
+            scfdma_deprecode_into(&x, &mut out, &mut ws);
+            let want = reference(&x, FftDirection::InverseUnnormalized);
+            assert_eq!(bits(&out), bits(&want), "deprecode ({m},{n})");
         }
     }
 
