@@ -3,9 +3,9 @@
 //! `fft_unplanned`/`ifft_unplanned`), the SFFT hot path, the
 //! runtime-dispatched SIMD kernels (Viterbi ACS, QAM soft demap)
 //! against their scalar references, the cross-band SVD and OTFS
-//! message-passing detection at their working sizes, plus the
-//! stage-major batched link pipeline against the per-block baseline,
-//! and writes `BENCH_dsp.json` so CI can archive the perf trajectory.
+//! message-passing detection and one coded link block at their working
+//! sizes, and writes `BENCH_dsp.json` so CI can archive the perf
+//! trajectory.
 //!
 //! Usage: `cargo bench -p rem-bench --bench dsp_json [-- --test]`
 //! (`--test` shrinks iteration counts to a smoke run; the JSON is
@@ -14,15 +14,17 @@
 //!
 //! Every timing is [`rem_bench::time_us`]'s record: the median over
 //! `repeats` rounds of the per-round mean, with the fastest and slowest
-//! round, in µs. Speedups are ratios of medians. The report also
-//! records the host's `available_parallelism` and the SIMD tier.
+//! round, in µs. Speedups are ratios of medians; the two sides of each
+//! are timed in alternating rounds ([`rem_bench::time_pair_us`]), so
+//! the host's drift lands on both. The report also records the host's
+//! `available_parallelism` and the SIMD tier.
 //!
 //! On a CPU without a vector tier (or under `REM_DSP_SIMD=off`) the
 //! "simd" timings fall back to the scalar kernel, so the speedup
 //! columns read ~1.0 — the report's `simd.dispatch` field says which
 //! tier actually ran.
 
-use rem_bench::{time_us, Timing};
+use rem_bench::{time_pair_us, time_us, Timing};
 use rem_channel::models::ChannelModel;
 use rem_num::fft::{fft, fft_unplanned};
 use rem_num::rng::{complex_gaussian, rng_from_seed};
@@ -35,7 +37,6 @@ use rem_phy::link::{simulate_block_with, LinkConfig, Waveform};
 use rem_phy::mp_detect::{apply_dd_channel, mp_detect, DdTap, MpConfig};
 use rem_phy::otfs::{sfft, sfft_into};
 use rem_phy::qam::{self, Modulation};
-use rem_phy::{BatchJob, LinkBatch};
 use std::f64::consts::FRAC_1_SQRT_2;
 use std::hint::black_box;
 
@@ -53,25 +54,35 @@ fn main() {
 
     // 1200-point Bluestein, planned (cached twiddles + pre-transformed
     // chirp kernel, SIMD butterflies) vs the per-call baseline.
-    let mut buf = x1200.clone();
-    let planned_1200 = time_us(warmup, repeats, iters, || {
-        buf.copy_from_slice(&x1200);
-        fft(black_box(&mut buf));
-    });
-    let unplanned_1200 = time_us(warmup, repeats, iters, || {
-        buf.copy_from_slice(&x1200);
-        fft_unplanned(black_box(&mut buf));
-    });
+    let (mut buf, mut buf_ref) = (x1200.clone(), x1200.clone());
+    let (planned_1200, unplanned_1200) = time_pair_us(
+        warmup,
+        repeats,
+        iters,
+        || {
+            buf.copy_from_slice(&x1200);
+            fft(black_box(&mut buf));
+        },
+        || {
+            buf_ref.copy_from_slice(&x1200);
+            fft_unplanned(black_box(&mut buf_ref));
+        },
+    );
 
-    let mut buf2 = x1024.clone();
-    let planned_1024 = time_us(warmup, repeats, iters, || {
-        buf2.copy_from_slice(&x1024);
-        fft(black_box(&mut buf2));
-    });
-    let unplanned_1024 = time_us(warmup, repeats, iters, || {
-        buf2.copy_from_slice(&x1024);
-        fft_unplanned(black_box(&mut buf2));
-    });
+    let (mut buf2, mut buf2_ref) = (x1024.clone(), x1024.clone());
+    let (planned_1024, unplanned_1024) = time_pair_us(
+        warmup,
+        repeats,
+        iters,
+        || {
+            buf2.copy_from_slice(&x1024);
+            fft(black_box(&mut buf2));
+        },
+        || {
+            buf2_ref.copy_from_slice(&x1024);
+            fft_unplanned(black_box(&mut buf2_ref));
+        },
+    );
 
     // SFFT of the LTE signaling subframe through the zero-allocation
     // path with a persistent scratch.
@@ -88,29 +99,26 @@ fn main() {
     // tier) — the per-block hot path of every receiver.
     let qam_syms: Vec<Complex64> =
         (0..4096).map(|_| complex_gaussian(&mut rng, 1.0)).collect();
-    let mut llr_buf: Vec<f64> = Vec::with_capacity(4 * qam_syms.len());
-    let qam_scalar = time_us(warmup, repeats, iters, || {
-        llr_buf.clear();
+    let demap = |llrs: &mut Vec<f64>, tier: SimdTier| {
+        llrs.clear();
         qam::demodulate_soft_into_with_tier(
             black_box(&qam_syms),
             Modulation::Qam16,
             0.1,
-            &mut llr_buf,
-            SimdTier::Scalar,
-        );
-        black_box(&llr_buf);
-    });
-    let qam_simd = time_us(warmup, repeats, iters, || {
-        llr_buf.clear();
-        qam::demodulate_soft_into_with_tier(
-            black_box(&qam_syms),
-            Modulation::Qam16,
-            0.1,
-            &mut llr_buf,
+            llrs,
             tier,
         );
-        black_box(&llr_buf);
-    });
+        black_box(&llrs);
+    };
+    let mut llr_scalar: Vec<f64> = Vec::with_capacity(4 * qam_syms.len());
+    let mut llr_simd: Vec<f64> = Vec::with_capacity(4 * qam_syms.len());
+    let (qam_scalar, qam_simd) = time_pair_us(
+        warmup,
+        repeats,
+        iters,
+        || demap(&mut llr_scalar, SimdTier::Scalar),
+        || demap(&mut llr_simd, tier),
+    );
 
     // Viterbi: flat bit-packed trellis on a full signaling payload,
     // scalar ACS vs the vectorised add-compare-select.
@@ -118,25 +126,20 @@ fn main() {
     let payload: Vec<bool> = (0..payload_len).map(|i| i % 3 == 0).collect();
     let coded = convcode::encode(&payload);
     let llrs: Vec<f64> = coded.iter().map(|&b| if b { -1.0 } else { 1.0 }).collect();
-    let mut trellis = convcode::TrellisScratch::new();
-    let viterbi_scalar = time_us(warmup, repeats, iters, || {
-        black_box(convcode::decode_soft_with_tier(
-            black_box(&llrs),
-            payload_len,
-            &mut trellis,
-            SimdTier::Scalar,
-        ));
-    });
-    let viterbi_simd = time_us(warmup, repeats, iters, || {
-        black_box(convcode::decode_soft_with_tier(
-            black_box(&llrs),
-            payload_len,
-            &mut trellis,
-            tier,
-        ));
-    });
+    let decode = |trellis: &mut convcode::TrellisScratch, tier: SimdTier| {
+        black_box(convcode::decode_soft_with_tier(black_box(&llrs), payload_len, trellis, tier));
+    };
+    let mut trellis_scalar = convcode::TrellisScratch::new();
+    let mut trellis_simd = convcode::TrellisScratch::new();
+    let (viterbi_scalar, viterbi_simd) = time_pair_us(
+        warmup,
+        repeats,
+        iters,
+        || decode(&mut trellis_scalar, SimdTier::Scalar),
+        || decode(&mut trellis_simd, tier),
+    );
 
-    // End-to-end coded block (the Monte-Carlo trial unit), per-block.
+    // End-to-end coded block (the Monte-Carlo trial unit).
     let cfg = LinkConfig::signaling(Waveform::Otfs);
     let ch = ChannelModel::Hst.realize(&mut rng, 97.2, 2.6e9);
     let mut block_rng = rng_from_seed(2);
@@ -144,51 +147,6 @@ fn main() {
     let block = time_us(warmup.min(5), repeats, block_iters, || {
         black_box(simulate_block_with(&cfg, &ch, 10.0, &payload, &mut block_rng, &mut ws));
     });
-
-    // The same trial unit through the stage-major batch driver at a
-    // sweep of batch sizes, reported as microseconds per block so the
-    // series is directly comparable to the per-block number above.
-    let mk_jobs = |n: usize| -> Vec<BatchJob> {
-        let mut jrng = rng_from_seed(3);
-        (0..n)
-            .map(|i| BatchJob {
-                ch: ChannelModel::Hst.realize(&mut jrng, 97.2, 2.6e9),
-                payload: payload.clone(),
-                rng: rng_from_seed(100 + i as u64),
-            })
-            .collect()
-    };
-    let clone_jobs = |proto: &[BatchJob]| -> Vec<BatchJob> {
-        proto
-            .iter()
-            .map(|j| BatchJob {
-                ch: j.ch.clone(),
-                payload: j.payload.clone(),
-                rng: j.rng.clone(),
-            })
-            .collect()
-    };
-    let mut lb = LinkBatch::new();
-    let mut batch_series = Vec::new();
-    let mut batched_8 = block;
-    for &bs in &[1usize, 4, 8, 16] {
-        let proto = mk_jobs(bs);
-        let calls = (block_iters / bs).max(3);
-        let per_call = time_us(warmup.min(5).min(calls), repeats, calls, || {
-            let mut jobs = clone_jobs(&proto);
-            black_box(lb.run(&cfg, 10.0, &mut jobs, &mut ws));
-        });
-        let per_block = Timing {
-            median_us: per_call.median_us / bs as f64,
-            min_us: per_call.min_us / bs as f64,
-            max_us: per_call.max_us / bs as f64,
-            ..per_call
-        };
-        if bs == 8 {
-            batched_8 = per_block;
-        }
-        batch_series.push(serde_json::json!({ "batch": bs, "us_per_block": (per_block.json()) }));
-    }
 
     // Allocating SFFT of a 4-RB grid, the SVD at the cross-band
     // estimator's working size, and message-passing detection on an
@@ -255,14 +213,8 @@ fn main() {
                 "speedup": (speedup(viterbi_scalar, viterbi_simd)),
                 "payload_bits": payload_len,
             },
-            "otfs_coded_block_12x14": {
-                "us": (block.json()),
-                "batched_us_per_block": (batched_8.json()),
-                "batch": 8,
-                "speedup": (speedup(block, batched_8)),
-            },
+            "otfs_coded_block_12x14": { "us": (block.json()) },
         },
-        "batch_throughput": batch_series,
     });
 
     let path = std::env::var("BENCH_DSP_JSON").unwrap_or_else(|_| "BENCH_dsp.json".into());
@@ -284,13 +236,12 @@ fn main() {
     println!("wrote {path} (+ {mpath})");
     println!(
         "simd dispatch: {} | viterbi {:.2} -> {:.2} us, qam_llr {:.2} -> {:.2} us, \
-         otfs block {:.2} -> {:.2} us (batch 8); medians of {repeats} rounds",
+         otfs block {:.2} us; medians of {repeats} rounds",
         tier.name(),
         viterbi_scalar.median_us,
         viterbi_simd.median_us,
         qam_scalar.median_us,
         qam_simd.median_us,
         block.median_us,
-        batched_8.median_us,
     );
 }

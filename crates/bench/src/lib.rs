@@ -85,6 +85,16 @@ pub struct Timing {
 }
 
 impl Timing {
+    /// The summary of one mean per round.
+    fn of_rounds(mut means: Vec<f64>) -> Self {
+        means.sort_by(f64::total_cmp);
+        let repeats = means.len();
+        let mid = repeats / 2;
+        let median_us =
+            if repeats % 2 == 1 { means[mid] } else { 0.5 * (means[mid - 1] + means[mid]) };
+        Timing { median_us, min_us: means[0], max_us: means[repeats - 1], repeats }
+    }
+
     /// The record form: `{"median": .., "min": .., "max": ..}` in µs,
     /// rounded to 0.01 µs.
     pub fn json(&self) -> serde_json::Value {
@@ -100,23 +110,56 @@ impl Timing {
 /// # Panics
 /// Panics if `repeats` or `iters` is 0.
 pub fn time_us(warmup: usize, repeats: usize, iters: usize, mut f: impl FnMut()) -> Timing {
+    let [t] = time_rounds(warmup, repeats, iters, |_| f());
+    t
+}
+
+/// Times the two sides of a ratio as [`time_us`] times one, in
+/// alternating rounds: round `r` times `a` first when `r` is even and
+/// `b` first when it is odd, so the host's speed drift lands on both
+/// sides alike instead of on the ratio.
+///
+/// # Panics
+/// Panics if `repeats` or `iters` is 0.
+pub fn time_pair_us(
+    warmup: usize,
+    repeats: usize,
+    iters: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (Timing, Timing) {
+    let [ta, tb] = time_rounds(warmup, repeats, iters, |side| if side == 0 { a() } else { b() });
+    (ta, tb)
+}
+
+/// The round loop of [`time_us`] and [`time_pair_us`] over `N` sides,
+/// `call(side)` running side `side` once: `warmup` untimed calls per
+/// side, then `repeats` rounds in which each side runs `iters` timed
+/// calls, round `r` starting with side `r % N`.
+fn time_rounds<const N: usize>(
+    warmup: usize,
+    repeats: usize,
+    iters: usize,
+    mut call: impl FnMut(usize),
+) -> [Timing; N] {
     assert!(repeats > 0 && iters > 0, "time_us needs at least one timed call");
-    for _ in 0..warmup {
-        f();
+    for side in 0..N {
+        for _ in 0..warmup {
+            call(side);
+        }
     }
-    let mut means: Vec<f64> = (0..repeats)
-        .map(|_| {
+    let mut means: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(repeats));
+    for r in 0..repeats {
+        for k in 0..N {
+            let side = (r + k) % N;
             let t0 = Instant::now();
             for _ in 0..iters {
-                f();
+                call(side);
             }
-            t0.elapsed().as_secs_f64() * 1e6 / iters as f64
-        })
-        .collect();
-    means.sort_by(f64::total_cmp);
-    let mid = repeats / 2;
-    let median_us = if repeats % 2 == 1 { means[mid] } else { 0.5 * (means[mid - 1] + means[mid]) };
-    Timing { median_us, min_us: means[0], max_us: means[repeats - 1], repeats }
+            means[side].push(t0.elapsed().as_secs_f64() * 1e6 / iters as f64);
+        }
+    }
+    means.map(Timing::of_rounds)
 }
 
 /// Prints a section header.
@@ -186,6 +229,23 @@ mod tests {
         assert_eq!(t.repeats, 3);
         assert!(t.min_us <= t.median_us && t.median_us <= t.max_us, "{t:?}");
         assert_eq!(t.json()["median"].as_f64(), Some((t.median_us * 100.0).round() / 100.0));
+    }
+
+    #[test]
+    fn time_pair_us_alternates_the_first_side() {
+        let order = std::cell::RefCell::new(String::new());
+        let (a, b) = time_pair_us(
+            1,
+            4,
+            2,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        // One warm-up call per side, then rounds of two calls per side
+        // led by a, b, a, b in turn.
+        assert_eq!(order.into_inner(), "ab".to_string() + "aabb" + "bbaa" + "aabb" + "bbaa");
+        assert_eq!((a.repeats, b.repeats), (4, 4));
+        assert!(a.min_us <= a.median_us && a.median_us <= a.max_us, "{a:?}");
     }
 
     #[test]

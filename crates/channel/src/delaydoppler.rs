@@ -66,17 +66,12 @@ impl DdGrid {
     pub fn duration_s(&self) -> f64 {
         self.n as f64 * self.t_sym
     }
-
-    /// Total bandwidth `M delta_f`, Hz.
-    pub fn bandwidth_hz(&self) -> f64 {
-        self.m as f64 * self.delta_f
-    }
 }
 
 /// Delay-spread entry `Γ(k delta_tau, tau_p) = sum_{d=0}^{M-1}
 /// e^{j 2 pi (k delta_tau - tau_p) d delta_f}` (geometric sum, closed
 /// form away from the unit-ratio singularity).
-pub fn gamma_entry(grid: &DdGrid, k: usize, tau_p: f64) -> Complex64 {
+fn gamma_entry(grid: &DdGrid, k: usize, tau_p: f64) -> Complex64 {
     let x = 2.0 * PI * (k as f64 * grid.delta_tau() - tau_p) * grid.delta_f;
     geometric_phasor_sum(x, grid.m)
 }
@@ -179,7 +174,6 @@ mod tests {
         assert!((g.delta_tau() - 1.0 / (12.0 * 15e3)).abs() < 1e-18);
         assert!((g.delta_nu() - 15e3 / 14.0).abs() < 1e-9);
         assert!((g.duration_s() - 14.0 / 15e3).abs() < 1e-12);
-        assert!((g.bandwidth_hz() - 180e3).abs() < 1e-9);
     }
 
     #[test]

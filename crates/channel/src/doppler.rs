@@ -42,13 +42,6 @@ pub fn coherence_time_s(speed_ms: f64, carrier_hz: f64) -> f64 {
     }
 }
 
-/// Doppler shift of a single path arriving at angle `theta` (radians)
-/// relative to the direction of motion: `nu = nu_max cos(theta)`.
-#[inline]
-pub fn path_doppler_hz(speed_ms: f64, carrier_hz: f64, theta: f64) -> f64 {
-    max_doppler_hz(speed_ms, carrier_hz) * theta.cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,75 +78,5 @@ mod tests {
     #[test]
     fn static_client_has_infinite_coherence() {
         assert!(coherence_time_s(0.0, 2e9).is_infinite());
-    }
-
-    #[test]
-    fn path_doppler_geometry() {
-        let v = kmh_to_ms(300.0);
-        let f = 2e9;
-        let nu_max = max_doppler_hz(v, f);
-        assert!((path_doppler_hz(v, f, 0.0) - nu_max).abs() < 1e-9);
-        assert!(path_doppler_hz(v, f, std::f64::consts::FRAC_PI_2).abs() < 1e-9);
-        assert!((path_doppler_hz(v, f, std::f64::consts::PI) + nu_max).abs() < 1e-9);
-    }
-}
-
-/// Doppler shift seen from a trackside base station as the train moves
-/// (the 3GPP HST scenario's deterministic trajectory): the shift is
-/// `nu_max * cos(theta(t))` where `theta` is the angle between the
-/// direction of motion and the line of sight,
-/// `cos(theta) = (bs_along - pos) / distance`.
-///
-/// Positive while approaching, sweeping through 0 abeam of the mast,
-/// negative when receding — the S-curve of TS 36.101 B.3.
-pub fn hst_doppler_hz(
-    pos_along_m: f64,
-    bs_along_m: f64,
-    bs_lateral_m: f64,
-    speed_ms: f64,
-    carrier_hz: f64,
-) -> f64 {
-    let dx = bs_along_m - pos_along_m;
-    let dist = (dx * dx + bs_lateral_m * bs_lateral_m).sqrt();
-    if dist <= 0.0 {
-        return 0.0;
-    }
-    max_doppler_hz(speed_ms, carrier_hz) * dx / dist
-}
-
-#[cfg(test)]
-mod hst_tests {
-    use super::*;
-
-    #[test]
-    fn hst_doppler_s_curve() {
-        let v = kmh_to_ms(350.0);
-        let f = 2.6e9;
-        let nu_max = max_doppler_hz(v, f);
-        // Far ahead: near +nu_max.
-        let ahead = hst_doppler_hz(0.0, 5_000.0, 100.0, v, f);
-        assert!(ahead > 0.99 * nu_max, "ahead={ahead}");
-        // Abeam: zero.
-        let abeam = hst_doppler_hz(1_000.0, 1_000.0, 100.0, v, f);
-        assert!(abeam.abs() < 1e-9);
-        // Far behind: near -nu_max.
-        let behind = hst_doppler_hz(10_000.0, 5_000.0, 100.0, v, f);
-        assert!(behind < -0.99 * nu_max, "behind={behind}");
-        // Bounded everywhere.
-        for x in (0..100).map(|i| i as f64 * 100.0) {
-            assert!(hst_doppler_hz(x, 5_000.0, 100.0, v, f).abs() <= nu_max + 1e-9);
-        }
-    }
-
-    #[test]
-    fn hst_doppler_transition_width_scales_with_lateral() {
-        // A larger lateral offset stretches the zero crossing.
-        let v = kmh_to_ms(300.0);
-        let f = 2e9;
-        let slope_near = hst_doppler_hz(990.0, 1_000.0, 50.0, v, f)
-            - hst_doppler_hz(1_010.0, 1_000.0, 50.0, v, f);
-        let slope_far = hst_doppler_hz(990.0, 1_000.0, 500.0, v, f)
-            - hst_doppler_hz(1_010.0, 1_000.0, 500.0, v, f);
-        assert!(slope_near > slope_far, "near={slope_near} far={slope_far}");
     }
 }

@@ -7,7 +7,7 @@
 //! reference tapped-delay-line models (EPA/EVA/ETU plus the
 //! high-speed-train scenario), Doppler/coherence-time math, the
 //! sampled delay-Doppler channel matrices `H = Γ P Φ` that REM's
-//! cross-band estimator decomposes, AWGN/ICI noise models and
+//! cross-band estimator decomposes, the Doppler ICI noise model and
 //! large-scale propagation (path loss, correlated shadowing).
 //!
 //! ```
@@ -22,13 +22,11 @@
 
 pub mod delaydoppler;
 pub mod doppler;
-pub mod fading;
 pub mod models;
 pub mod noise;
 pub mod path;
 pub mod radio;
 
 pub use delaydoppler::{dd_channel_matrix, DdGrid};
-pub use fading::JakesFader;
 pub use models::ChannelModel;
 pub use path::{MultipathChannel, Path};

@@ -88,11 +88,6 @@ impl ChannelModel {
         }
     }
 
-    /// Number of taps.
-    pub fn num_taps(self) -> usize {
-        self.taps().len()
-    }
-
     /// Draws one channel realization for a client at `speed_ms` under
     /// carrier `carrier_hz`. The profile is normalized to unit average
     /// power; tap Doppler shifts follow the Jakes model, except the HST
@@ -132,33 +127,6 @@ impl ChannelModel {
         }
         MultipathChannel::new(paths)
     }
-
-    /// Like [`realize`](Self::realize) but with deterministic unit-power
-    /// taps (no Rayleigh draw): useful for ground-truth comparisons in
-    /// estimation tests where a random deep fade would mask algorithmic
-    /// error.
-    pub fn realize_deterministic(
-        self,
-        rng: &mut SimRng,
-        speed_ms: f64,
-        carrier_hz: f64,
-    ) -> MultipathChannel {
-        let taps = self.taps();
-        let total_lin: f64 = taps.iter().map(|&(_, p_db)| 10f64.powf(p_db / 10.0)).sum();
-        let nu_max = max_doppler_hz(speed_ms, carrier_hz);
-        let mut paths = Vec::with_capacity(taps.len());
-        for &(delay_ns, p_db) in taps {
-            let p_lin = 10f64.powf(p_db / 10.0) / total_lin;
-            let theta: f64 = rng.gen_range(0.0..2.0 * PI);
-            let phase: f64 = rng.gen_range(0.0..2.0 * PI);
-            paths.push(Path::new(
-                Complex64::cis(phase).scale(p_lin.sqrt()),
-                delay_ns * 1e-9,
-                nu_max * theta.cos(),
-            ));
-        }
-        MultipathChannel::new(paths)
-    }
 }
 
 #[cfg(test)]
@@ -180,9 +148,9 @@ mod tests {
 
     #[test]
     fn tap_counts_match_3gpp() {
-        assert_eq!(ChannelModel::Epa.num_taps(), 7);
-        assert_eq!(ChannelModel::Eva.num_taps(), 9);
-        assert_eq!(ChannelModel::Etu.num_taps(), 9);
+        assert_eq!(ChannelModel::Epa.taps().len(), 7);
+        assert_eq!(ChannelModel::Eva.taps().len(), 9);
+        assert_eq!(ChannelModel::Etu.taps().len(), 9);
     }
 
     #[test]
@@ -228,13 +196,6 @@ mod tests {
         let nu_max = max_doppler_hz(speed, 2e9);
         let ch = ChannelModel::Hst.realize(&mut rng, speed, 2e9);
         assert!((ch.paths()[0].doppler_hz - nu_max).abs() < 1e-9);
-    }
-
-    #[test]
-    fn deterministic_variant_has_exactly_unit_power() {
-        let mut rng = rng_from_seed(13);
-        let ch = ChannelModel::Eva.realize_deterministic(&mut rng, 30.0, 2e9);
-        assert!((ch.total_power() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Noise models: AWGN and Doppler-induced inter-carrier interference.
+//! Noise model: Doppler-induced inter-carrier interference.
 //!
 //! OFDM's orthogonality assumes the channel is static over a symbol;
 //! Doppler spread breaks that and leaks power between subcarriers
@@ -9,23 +9,7 @@
 //! classic small-`fd T` expansion for a Jakes spectrum:
 //! `P_ici ≈ (pi * fd * T)^2 / 6` of the received signal power.
 
-use rand::Rng;
-use rem_num::rng::complex_gaussian;
-use rem_num::{CMatrix, Complex64};
 use std::f64::consts::PI;
-
-/// Generates an `m x n` matrix of i.i.d. circularly-symmetric complex
-/// Gaussian noise with per-entry variance `var`.
-pub fn awgn_matrix(rng: &mut impl Rng, m: usize, n: usize, var: f64) -> CMatrix {
-    CMatrix::from_fn(m, n, |_, _| complex_gaussian(rng, var))
-}
-
-/// Adds AWGN of variance `var` to a vector of samples, in place.
-pub fn add_awgn(rng: &mut impl Rng, samples: &mut [Complex64], var: f64) {
-    for s in samples.iter_mut() {
-        *s += complex_gaussian(rng, var);
-    }
-}
 
 /// Relative ICI power (fraction of received signal power) for maximum
 /// Doppler `fd_hz` and OFDM symbol duration `t_sym_s`, using the
@@ -36,38 +20,9 @@ pub fn ici_relative_power(fd_hz: f64, t_sym_s: f64) -> f64 {
     (x * x / 6.0).min(1.0)
 }
 
-/// Effective per-subcarrier SINR (linear) of an OFDM resource element
-/// whose channel gain has squared magnitude `gain_sq`, with thermal
-/// noise variance `noise_var` and Doppler `fd_hz` over symbols of
-/// `t_sym_s`:
-///
-/// `sinr = gain_sq / (noise_var + gain_sq * P_ici_rel)`
-pub fn ofdm_slot_sinr(gain_sq: f64, noise_var: f64, fd_hz: f64, t_sym_s: f64) -> f64 {
-    let ici = gain_sq * ici_relative_power(fd_hz, t_sym_s);
-    gain_sq / (noise_var + ici)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rem_num::rng::rng_from_seed;
-
-    #[test]
-    fn awgn_power_matches_variance() {
-        let mut rng = rng_from_seed(1);
-        let m = awgn_matrix(&mut rng, 80, 80, 0.5);
-        assert!((m.mean_power() - 0.5).abs() < 0.03);
-    }
-
-    #[test]
-    fn add_awgn_perturbs_in_place() {
-        let mut rng = rng_from_seed(2);
-        let mut v = vec![Complex64::ONE; 1000];
-        add_awgn(&mut rng, &mut v, 0.01);
-        let mean: Complex64 = v.iter().sum::<Complex64>().scale(1.0 / v.len() as f64);
-        assert!(mean.dist(Complex64::ONE) < 0.02);
-        assert!(v.iter().any(|z| z.dist(Complex64::ONE) > 1e-4));
-    }
 
     #[test]
     fn ici_grows_quadratically_with_doppler() {
@@ -87,18 +42,5 @@ mod tests {
     #[test]
     fn ici_is_clamped() {
         assert_eq!(ici_relative_power(1e9, 1.0), 1.0);
-    }
-
-    #[test]
-    fn sinr_saturates_with_ici_floor() {
-        let t = 66.7e-6;
-        let fd = 650.0; // 350 km/h @ 2 GHz
-        // At huge SNR, ICI bounds the SINR.
-        let sinr_hi = ofdm_slot_sinr(1.0, 1e-9, fd, t);
-        let floor = 1.0 / ici_relative_power(fd, t);
-        assert!((sinr_hi - floor).abs() / floor < 0.01);
-        // At low SNR, thermal noise dominates: sinr ~ gain/noise.
-        let sinr_lo = ofdm_slot_sinr(1.0, 10.0, fd, t);
-        assert!((sinr_lo - 0.1).abs() < 0.01);
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! This module stores the per-path profile and evaluates both forms.
 
-use rem_num::{c64, CMatrix, Complex64};
+use rem_num::{CMatrix, Complex64};
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
@@ -87,28 +87,6 @@ impl MultipathChannel {
         self.paths.iter().map(|p| p.doppler_hz.abs()).fold(0.0, f64::max)
     }
 
-    /// Largest path delay, in seconds.
-    pub fn max_delay_s(&self) -> f64 {
-        self.paths.iter().map(|p| p.delay_s).fold(0.0, f64::max)
-    }
-
-    /// RMS delay spread (power-weighted), in seconds.
-    pub fn rms_delay_spread_s(&self) -> f64 {
-        let ptot = self.total_power();
-        if ptot == 0.0 {
-            return 0.0;
-        }
-        let mean: f64 =
-            self.paths.iter().map(|p| p.gain.norm_sqr() * p.delay_s).sum::<f64>() / ptot;
-        let var: f64 = self
-            .paths
-            .iter()
-            .map(|p| p.gain.norm_sqr() * (p.delay_s - mean).powi(2))
-            .sum::<f64>()
-            / ptot;
-        var.sqrt()
-    }
-
     /// Evaluates the time-frequency response `H(t, f)`.
     ///
     /// `f` is the frequency offset from the band's reference (carrier)
@@ -165,15 +143,10 @@ impl MultipathChannel {
     }
 }
 
-/// Builds a path with gain given in dB (power) and phase in radians.
-pub fn path_from_db(power_db: f64, phase: f64, delay_s: f64, doppler_hz: f64) -> Path {
-    let amp = 10f64.powf(power_db / 20.0);
-    Path::new(c64(amp * phase.cos(), amp * phase.sin()), delay_s, doppler_hz)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rem_num::c64;
 
     fn two_path() -> MultipathChannel {
         MultipathChannel::new(vec![
@@ -221,17 +194,8 @@ mod tests {
     }
 
     #[test]
-    fn max_doppler_and_delay() {
-        let ch = two_path();
-        assert_eq!(ch.max_doppler_hz(), 100.0);
-        assert_eq!(ch.max_delay_s(), 1e-6);
-    }
-
-    #[test]
-    fn rms_delay_spread_single_path_zero() {
-        let ch = MultipathChannel::flat(Complex64::ONE);
-        assert_eq!(ch.rms_delay_spread_s(), 0.0);
-        assert!(two_path().rms_delay_spread_s() > 0.0);
+    fn max_doppler() {
+        assert_eq!(two_path().max_doppler_hz(), 100.0);
     }
 
     #[test]
@@ -265,11 +229,5 @@ mod tests {
         let g = ch.tf_grid(4, 3, 15e3, 66.7e-6);
         assert_eq!(g.shape(), (4, 3));
         assert!(g[(2, 1)].dist(ch.tf_gain(66.7e-6, 2.0 * 15e3)) < 1e-12);
-    }
-
-    #[test]
-    fn path_from_db_has_right_power() {
-        let p = path_from_db(-3.0, 0.0, 0.0, 0.0);
-        assert!((p.gain.norm_sqr() - 10f64.powf(-0.3)).abs() < 1e-9);
     }
 }

@@ -10,19 +10,6 @@ use rand::Rng;
 use rem_num::rng::standard_normal;
 use serde::{Deserialize, Serialize};
 
-/// Free-space path loss in dB for distance `d_m` (meters) and carrier
-/// `f_hz`. Clamped below at 1 m to avoid negative loss at the mast.
-pub fn free_space_pl_db(d_m: f64, f_hz: f64) -> f64 {
-    let d_km = (d_m.max(1.0)) / 1000.0;
-    let f_mhz = f_hz / 1e6;
-    32.45 + 20.0 * d_km.log10() + 20.0 * f_mhz.log10()
-}
-
-/// Log-distance path loss: `PL(d) = pl0_db + 10 * n * log10(d / d0)`.
-pub fn log_distance_pl_db(d_m: f64, d0_m: f64, pl0_db: f64, exponent: f64) -> f64 {
-    pl0_db + 10.0 * exponent * (d_m.max(d0_m) / d0_m).log10()
-}
-
 /// 3GPP-style rural-macro path loss (the regime of trackside HSR
 /// deployments): `PL = 128.1 + 37.6 log10(d_km)` at 2 GHz, with a
 /// `21 log10(f / 2 GHz)` frequency correction. The sum of
@@ -95,28 +82,6 @@ mod tests {
     use rem_num::stats::{mean, std_dev};
 
     #[test]
-    fn free_space_doubles_distance_plus_6db() {
-        let a = free_space_pl_db(1000.0, 2e9);
-        let b = free_space_pl_db(2000.0, 2e9);
-        assert!((b - a - 6.0206).abs() < 1e-3);
-    }
-
-    #[test]
-    fn free_space_known_value() {
-        // 1 km @ 2.4 GHz ~ 100.05 dB.
-        let pl = free_space_pl_db(1000.0, 2.4e9);
-        assert!((pl - 100.05).abs() < 0.1, "pl={pl}");
-    }
-
-    #[test]
-    fn log_distance_matches_free_space_with_n2() {
-        let pl0 = free_space_pl_db(100.0, 2e9);
-        let a = log_distance_pl_db(1000.0, 100.0, pl0, 2.0);
-        let b = free_space_pl_db(1000.0, 2e9);
-        assert!((a - b).abs() < 1e-9);
-    }
-
-    #[test]
     fn rural_macro_reasonable_rsrp_range() {
         // 43 dBm EIRP, 500 m: RSRP should land in a plausible band.
         let rsrp = 43.0 - rural_macro_pl_db(500.0, 2e9);
@@ -128,7 +93,6 @@ mod tests {
     #[test]
     fn path_loss_monotone_in_frequency() {
         assert!(rural_macro_pl_db(500.0, 2.6e9) > rural_macro_pl_db(500.0, 0.9e9));
-        assert!(free_space_pl_db(500.0, 2.6e9) > free_space_pl_db(500.0, 0.9e9));
     }
 
     #[test]

@@ -173,9 +173,69 @@ fn resume_refuses_a_checkpoint_with_a_trial_per_plane() {
 /// `n_trials` (`2 * seeds`).
 #[test]
 fn rerun_reproduces_a_manifest_with_a_trial_per_plane() {
-    let dir = scratch("per-plane-manifest");
-    let (_, args, _, expected) = KINDS[0];
-    let trace = dir.join("compare.trace.jsonl");
+    let seeds = compare_campaign().seeds.len();
+    edited_manifest_reruns_to_its_digest("compare", |manifest| {
+        assert_eq!(manifest["n_trials"].as_u64(), Some(seeds as u64), "one paired trial per seed");
+        manifest["n_trials"] = (2 * seeds).into();
+    });
+}
+
+/// The `KINDS` row of `kind`.
+fn row(kind: &str) -> (&'static [&'static str], &'static str) {
+    let (_, args, _, expected) =
+        KINDS.into_iter().find(|(k, ..)| *k == kind).expect("a KINDS row");
+    (args, expected)
+}
+
+/// Today's `rem bler --blocks 20` spec with the `"batch":8` field every
+/// `BlerScenario` carried while a stage-major batch size was one of its
+/// fields.
+fn with_old_batch_field(spec_json: &str) -> String {
+    let old = spec_json.replace("\"threads\":0}", "\"threads\":0,\"batch\":8}");
+    assert_eq!(old.matches("\"batch\":8").count(), 2, "one per waveform: {old}");
+    old
+}
+
+/// A bler checkpoint whose fingerprint holds `"batch":8` describes a
+/// scenario the program no longer builds: `--resume` refuses it (exit 1)
+/// and leaves it in place.
+#[test]
+fn resume_refuses_a_bler_checkpoint_with_a_batch_field() {
+    use rem_core::Checkpoint;
+    let dir = scratch("batch-ckpt");
+    let (args, _) = row("bler");
+    let ckpt = dir.join("bler.ckpt");
+    let mut run = args.to_vec();
+    run.extend(["--threads", "2", "--checkpoint", path_str(&ckpt)]);
+    let status = Command::new(env!("CARGO_BIN_EXE_rem"))
+        .args(&run)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("run rem");
+    assert!(status.success(), "bler checkpointed run failed: {status:?}");
+    let mut old = Checkpoint::load(&ckpt).expect("load checkpoint");
+    old.spec_json = with_old_batch_field(&old.spec_json);
+    old.save(&ckpt).expect("save old checkpoint");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_rem"))
+        .args(["bler", "--resume", path_str(&ckpt), "--threads", "1", "--hash"])
+        .output()
+        .expect("run rem");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("spec fingerprint differs"), "stderr: {stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("hash: "));
+    assert_eq!(Checkpoint::load(&ckpt).expect("checkpoint still loads"), old);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `kind`'s `KINDS` row with `--obs-trace`, lets `edit` rewrite
+/// the manifest it writes, and requires `rem rerun` of the edited
+/// manifest to print the digest the row pins.
+fn edited_manifest_reruns_to_its_digest(kind: &str, edit: impl FnOnce(&mut serde_json::Value)) {
+    let dir = scratch(&format!("{kind}-old-manifest"));
+    let (args, expected) = row(kind);
+    let trace = dir.join(format!("{kind}.trace.jsonl"));
     let mut run = args.to_vec();
     run.extend(["--threads", "2", "--obs-trace", path_str(&trace)]);
     let status = Command::new(env!("CARGO_BIN_EXE_rem"))
@@ -183,18 +243,43 @@ fn rerun_reproduces_a_manifest_with_a_trial_per_plane() {
         .stdout(std::process::Stdio::null())
         .status()
         .expect("run rem");
-    assert!(status.success(), "compare failed: {status:?}");
+    assert!(status.success(), "{kind} failed: {status:?}");
 
-    let path = dir.join("compare.trace.jsonl.manifest.json");
+    let path = dir.join(format!("{kind}.trace.jsonl.manifest.json"));
     let body = std::fs::read_to_string(&path).expect("read manifest");
     let mut manifest: serde_json::Value = serde_json::from_str(&body).expect("manifest parses");
-    let seeds = compare_campaign().seeds.len();
-    assert_eq!(manifest["n_trials"].as_u64(), Some(seeds as u64), "one paired trial per seed");
     assert_eq!(manifest["result_hash"].as_str(), Some(expected));
-    manifest["n_trials"] = (2 * seeds).into();
+    edit(&mut manifest);
     std::fs::write(&path, manifest.to_string()).expect("write manifest");
     assert_eq!(rem_hash(&["rerun", path_str(&path), "--threads", "1"]), expected);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A bler manifest whose fingerprint holds `"batch":8` reruns to its
+/// recorded digest: the field is ignored, and every batch size gave the
+/// per-block outcomes.
+#[test]
+fn rerun_reproduces_a_bler_manifest_with_a_batch_field() {
+    edited_manifest_reruns_to_its_digest("bler", |manifest| {
+        let spec = manifest["spec_json"].as_str().expect("spec_json");
+        manifest["spec_json"] = with_old_batch_field(spec).into();
+    });
+}
+
+/// A faults manifest whose `FaultConfig` carries the TCP-burst fields
+/// reruns to its recorded digest: no replay the digest covers read them.
+#[test]
+fn rerun_reproduces_a_faults_manifest_with_tcp_burst_fields() {
+    edited_manifest_reruns_to_its_digest("faults", |manifest| {
+        let spec = manifest["spec_json"].as_str().expect("spec_json");
+        let old = spec.replace(
+            "\"corrupt_frac\":0.25}",
+            "\"corrupt_frac\":0.25,\"tcp_burst_per_min\":1.0,\"burst_ms\":600.0,\
+             \"burst_loss_prob\":0.35}",
+        );
+        assert_ne!(old, spec, "no FaultConfig in {spec}");
+        manifest["spec_json"] = old.into();
+    });
 }
 
 /// Flags and files are one path: each kind's equivalent scenario file,

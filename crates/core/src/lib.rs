@@ -63,7 +63,7 @@ pub use rem_num::hash::fnv1a64;
 pub use report::{ExperimentReport, ReportRow};
 pub use scenario::{ScenarioError, ScenarioSpec, SCENARIO_FORMAT};
 pub use study::{run_study, Checked, Study};
-pub use tcp_coupling::{mean_stall_per_failure_s, replay_tcp, replay_tcp_faulted, STALL_GAP_MS};
+pub use tcp_coupling::{replay_tcp, STALL_GAP_MS};
 
 // Subsystem re-exports so downstream users depend on one crate.
 pub use rem_channel;

@@ -343,12 +343,6 @@ pub struct FaultsSpec {
     pub delay_frac: Option<f64>,
     /// Fraction of feedback/command faults that corrupt instead of drop.
     pub corrupt_frac: Option<f64>,
-    /// TCP bursty-loss windows per minute.
-    pub tcp_burst_per_min: Option<f64>,
-    /// Burst width (ms).
-    pub burst_ms: Option<f64>,
-    /// Packet loss probability inside a burst.
-    pub burst_loss_prob: Option<f64>,
 }
 
 impl FaultsSpec {
@@ -361,8 +355,7 @@ impl FaultsSpec {
         }
         ov!(
             feedback_per_min, command_per_min, x2_per_min, mask_per_min, hole_per_min,
-            window_ms, hole_ms, extra_delay_ms, delay_frac, corrupt_frac,
-            tcp_burst_per_min, burst_ms, burst_loss_prob
+            window_ms, hole_ms, extra_delay_ms, delay_frac, corrupt_frac
         );
         c.scaled(self.rate_scale.unwrap_or(1.0))
     }
@@ -768,9 +761,6 @@ impl ScenarioSpec {
             kv_of(&mut s, "extra_delay_ms", fs.extra_delay_ms);
             kv_of(&mut s, "delay_frac", fs.delay_frac);
             kv_of(&mut s, "corrupt_frac", fs.corrupt_frac);
-            kv_of(&mut s, "tcp_burst_per_min", fs.tcp_burst_per_min);
-            kv_of(&mut s, "burst_ms", fs.burst_ms);
-            kv_of(&mut s, "burst_loss_prob", fs.burst_loss_prob);
         }
 
         if let Some(ns) = &self.net {
@@ -1394,9 +1384,6 @@ fn read_faults(t: &mut Tbl) -> Result<FaultsSpec, ScenarioError> {
         extra_delay_ms: t.f64_opt("extra_delay_ms")?,
         delay_frac: t.f64_opt("delay_frac")?,
         corrupt_frac: t.f64_opt("corrupt_frac")?,
-        tcp_burst_per_min: t.f64_opt("tcp_burst_per_min")?,
-        burst_ms: t.f64_opt("burst_ms")?,
-        burst_loss_prob: t.f64_opt("burst_loss_prob")?,
     };
     t.done()?;
     Ok(spec)

@@ -4,8 +4,7 @@
 //! the miniature TCP stack; the resulting stall times quantify REM's
 //! application-level benefit.
 
-use rem_faults::FaultPlan;
-use rem_net::{simulate_transfer, LinkModel, LossEpisode, Outage, TcpConfig, TcpTrace};
+use rem_net::{simulate_transfer, LinkModel, Outage, TcpConfig, TcpTrace};
 use rem_num::rng::rng_from_seed;
 use rem_sim::RunMetrics;
 
@@ -28,35 +27,6 @@ pub fn replay_tcp(metrics: &RunMetrics, window_ms: f64, seed: u64) -> TcpTrace {
     simulate_transfer(&TcpConfig::default(), &link, window_ms, &mut rng)
 }
 
-/// [`replay_tcp`] under a fault plan: the plan's transport-layer loss
-/// bursts become bursty-loss episodes on the link, alongside the
-/// campaign's radio outages. With an empty plan this is exactly
-/// [`replay_tcp`].
-pub fn replay_tcp_faulted(
-    metrics: &RunMetrics,
-    plan: &FaultPlan,
-    window_ms: f64,
-    seed: u64,
-) -> TcpTrace {
-    let episodes: Vec<LossEpisode> = plan
-        .bursts()
-        .iter()
-        .filter(|b| b.start_ms < window_ms)
-        .map(|b| LossEpisode {
-            start_ms: b.start_ms,
-            end_ms: b.end_ms.min(window_ms),
-            loss_prob: b.loss_prob,
-        })
-        .collect();
-    let link = LinkModel {
-        outages: outages_within(metrics, window_ms),
-        episodes,
-        ..Default::default()
-    };
-    let mut rng = rng_from_seed(seed);
-    simulate_transfer(&TcpConfig::default(), &link, window_ms, &mut rng)
-}
-
 fn outages_within(metrics: &RunMetrics, window_ms: f64) -> Vec<Outage> {
     metrics
         .interruption_intervals_ms(HO_INTERRUPTION_MS)
@@ -64,14 +34,6 @@ fn outages_within(metrics: &RunMetrics, window_ms: f64) -> Vec<Outage> {
         .filter(|(s, _)| *s < window_ms)
         .map(|(s, e)| Outage { start_ms: s, end_ms: e.min(window_ms) })
         .collect()
-}
-
-/// Mean stall time per outage event (s) — the Fig 9a bar value.
-pub fn mean_stall_per_failure_s(trace: &TcpTrace, n_failures: usize) -> f64 {
-    if n_failures == 0 {
-        return 0.0;
-    }
-    trace.total_stall_ms(STALL_GAP_MS) / 1e3 / n_failures as f64
 }
 
 #[cfg(test)]
@@ -109,7 +71,6 @@ mod tests {
         let trace = replay_tcp(&m, 20_000.0, 2);
         let stall = trace.total_stall_ms(STALL_GAP_MS);
         assert!(stall >= 2_500.0, "stall={stall}");
-        assert!(mean_stall_per_failure_s(&trace, 1) >= 2.5);
     }
 
     #[test]
@@ -117,62 +78,6 @@ mod tests {
         let m = metrics_with_outages(&[(50_000.0, 55_000.0)]);
         let trace = replay_tcp(&m, 10_000.0, 3);
         assert!(trace.stall_periods(STALL_GAP_MS).is_empty());
-    }
-
-    #[test]
-    fn zero_failures_zero_mean_stall() {
-        let m = metrics_with_outages(&[]);
-        let trace = replay_tcp(&m, 5_000.0, 4);
-        assert_eq!(mean_stall_per_failure_s(&trace, 0), 0.0);
-    }
-}
-
-#[cfg(test)]
-mod faulted_tests {
-    use super::*;
-    use rem_faults::FaultConfig;
-
-    #[test]
-    fn empty_plan_matches_clean_replay() {
-        let m = RunMetrics { duration_s: 20.0, ..Default::default() };
-        let clean = replay_tcp(&m, 10_000.0, 7);
-        let faulted = replay_tcp_faulted(&m, &FaultPlan::empty(), 10_000.0, 7);
-        assert_eq!(clean.total_acked_bytes, faulted.total_acked_bytes);
-        assert_eq!(clean.rto_events, faulted.rto_events);
-    }
-
-    #[test]
-    fn loss_bursts_degrade_goodput() {
-        let m = RunMetrics { duration_s: 30.0, ..Default::default() };
-        let cfg = FaultConfig {
-            tcp_burst_per_min: 8.0,
-            burst_ms: 2_000.0,
-            burst_loss_prob: 0.4,
-            ..FaultConfig::default()
-        };
-        let plan = FaultPlan::generate(&cfg, 3, 0, 30_000.0);
-        assert!(!plan.bursts().is_empty(), "no bursts scheduled");
-        let clean = replay_tcp(&m, 30_000.0, 8);
-        let faulted = replay_tcp_faulted(&m, &plan, 30_000.0, 8);
-        assert!(
-            faulted.total_acked_bytes < clean.total_acked_bytes,
-            "faulted={} clean={}",
-            faulted.total_acked_bytes,
-            clean.total_acked_bytes
-        );
-        assert!(faulted.total_acked_bytes > 0);
-    }
-
-    #[test]
-    fn bursts_beyond_window_are_clipped() {
-        let m = RunMetrics { duration_s: 10.0, ..Default::default() };
-        let cfg = FaultConfig { tcp_burst_per_min: 60.0, ..FaultConfig::default() };
-        // Plan spans 60 s but the replay window is 5 s: must not panic,
-        // and the replay stays deterministic.
-        let plan = FaultPlan::generate(&cfg, 4, 0, 60_000.0);
-        let a = replay_tcp_faulted(&m, &plan, 5_000.0, 9);
-        let b = replay_tcp_faulted(&m, &plan, 5_000.0, 9);
-        assert_eq!(a.total_acked_bytes, b.total_acked_bytes);
     }
 }
 

@@ -19,8 +19,7 @@
 //! simulation RNG state, so faulted campaigns stay bit-identical for
 //! any worker-thread count.
 //!
-//! Fault taxonomy (one [`FaultKind`] per Table 2 row, plus a
-//! transport-layer burst-loss channel for the TCP stack):
+//! Fault taxonomy (one [`FaultKind`] per Table 2 row, plus X2 loss):
 //!
 //! | kind | injected as | ground truth |
 //! |------|-------------|--------------|
@@ -143,18 +142,6 @@ impl ScheduledFault {
     }
 }
 
-/// A transport-layer bursty-loss window (Gilbert-Elliott-style "bad"
-/// state) for the TCP stack.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LossBurst {
-    /// Burst start (ms).
-    pub start_ms: f64,
-    /// Burst end (ms, exclusive).
-    pub end_ms: f64,
-    /// Per-packet loss probability inside the burst.
-    pub loss_prob: f64,
-}
-
 /// Fault-injection rates and shapes. Rates are Poisson arrivals per
 /// minute of simulated time; each arrival opens a window of the
 /// configured width.
@@ -183,12 +170,6 @@ pub struct FaultConfig {
     /// Fraction of feedback/command faults that corrupt instead of
     /// drop (exercises the RRC codec's rejection path).
     pub corrupt_frac: f64,
-    /// TCP bursty-loss windows per minute.
-    pub tcp_burst_per_min: f64,
-    /// Burst width (ms).
-    pub burst_ms: f64,
-    /// Packet loss probability inside a burst.
-    pub burst_loss_prob: f64,
 }
 
 impl Default for FaultConfig {
@@ -204,9 +185,6 @@ impl Default for FaultConfig {
             extra_delay_ms: 1_200.0,
             delay_frac: 0.25,
             corrupt_frac: 0.25,
-            tcp_burst_per_min: 1.0,
-            burst_ms: 600.0,
-            burst_loss_prob: 0.35,
         }
     }
 }
@@ -232,7 +210,6 @@ impl FaultConfig {
         self.x2_per_min *= factor;
         self.mask_per_min *= factor;
         self.hole_per_min *= factor;
-        self.tcp_burst_per_min *= factor;
         self
     }
 
@@ -257,7 +234,6 @@ impl FaultConfig {
             ("x2_per_min", self.x2_per_min),
             ("mask_per_min", self.mask_per_min),
             ("hole_per_min", self.hole_per_min),
-            ("tcp_burst_per_min", self.tcp_burst_per_min),
         ];
         if let Some((f, r)) = rates.into_iter().find(|&(_, r)| !r.is_finite() || r < 0.0) {
             return Some((f, r, "must be finite and >= 0"));
@@ -265,17 +241,12 @@ impl FaultConfig {
         let widths = [
             ("window_ms", self.window_ms),
             ("hole_ms", self.hole_ms),
-            ("burst_ms", self.burst_ms),
             ("extra_delay_ms", self.extra_delay_ms),
         ];
         if let Some((f, w)) = widths.into_iter().find(|&(_, w)| !w.is_finite() || w <= 0.0) {
             return Some((f, w, "must be finite and > 0"));
         }
-        let probs = [
-            ("delay_frac", self.delay_frac),
-            ("corrupt_frac", self.corrupt_frac),
-            ("burst_loss_prob", self.burst_loss_prob),
-        ];
+        let probs = [("delay_frac", self.delay_frac), ("corrupt_frac", self.corrupt_frac)];
         if let Some((f, p)) = probs.into_iter().find(|&(_, p)| !(0.0..=1.0).contains(&p)) {
             return Some((f, p, "must be in [0, 1]"));
         }
@@ -292,7 +263,6 @@ impl FaultConfig {
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     faults: Vec<ScheduledFault>,
-    bursts: Vec<LossBurst>,
 }
 
 impl FaultPlan {
@@ -342,23 +312,7 @@ impl FaultPlan {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| (a.kind as u8).cmp(&(b.kind as u8)))
         });
-
-        let mut bursts = Vec::new();
-        if cfg.tcp_burst_per_min > 0.0 && horizon_ms > 0.0 {
-            let mut rng = child_rng(seed, &format!("faults/{client_id}/tcp-burst"));
-            let mean_gap_ms = 60_000.0 / cfg.tcp_burst_per_min;
-            let mut t = exponential(&mut rng, mean_gap_ms);
-            while t < horizon_ms {
-                bursts.push(LossBurst {
-                    start_ms: t,
-                    end_ms: t + cfg.burst_ms,
-                    loss_prob: cfg.burst_loss_prob,
-                });
-                t += cfg.burst_ms + exponential(&mut rng, mean_gap_ms);
-            }
-        }
-
-        Self { faults, bursts }
+        Self { faults }
     }
 
     /// The window of `kind` active at `t_ms`, if any.
@@ -380,11 +334,6 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// TCP bursty-loss windows, by start time.
-    pub fn bursts(&self) -> &[LossBurst] {
-        &self.bursts
-    }
-
     /// Number of scheduled windows of one kind.
     pub fn count(&self, kind: FaultKind) -> usize {
         self.faults.iter().filter(|f| f.kind == kind).count()
@@ -392,7 +341,7 @@ impl FaultPlan {
 
     /// Whether nothing at all is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.bursts.is_empty()
+        self.faults.is_empty()
     }
 }
 
@@ -488,9 +437,6 @@ mod tests {
                 "{kind:?}: got {got}, expected ~{expect}"
             );
         }
-        let bursts = plan.bursts().len() as f64;
-        let expect = cfg.tcp_burst_per_min * horizon_min;
-        assert!((bursts - expect).abs() < 0.5 * expect + 5.0);
     }
 
     #[test]
@@ -531,7 +477,6 @@ mod tests {
             x2_per_min: 0.0,
             mask_per_min: 0.0,
             hole_per_min: 0.0,
-            tcp_burst_per_min: 0.0,
             ..FaultConfig::default()
         };
         assert!(FaultPlan::generate(&off, 1, 0, 600_000.0).is_empty());
@@ -545,8 +490,8 @@ mod tests {
         let field = |bad: FaultConfig| bad.invalid_field().map(|(f, v, _)| (f, v));
         let bad = FaultConfig { feedback_per_min: -1.0, ..FaultConfig::default() };
         assert_eq!(field(bad), Some(("feedback_per_min", -1.0)));
-        let bad = FaultConfig { burst_loss_prob: 1.5, ..FaultConfig::default() };
-        assert_eq!(field(bad), Some(("burst_loss_prob", 1.5)));
+        let bad = FaultConfig { delay_frac: 1.5, ..FaultConfig::default() };
+        assert_eq!(field(bad), Some(("delay_frac", 1.5)));
         let bad = FaultConfig { delay_frac: 0.8, corrupt_frac: 0.5, ..FaultConfig::default() };
         assert_eq!(field(bad), Some(("corrupt_frac", 0.5)));
         let bad = FaultConfig { window_ms: 0.0, ..FaultConfig::default() };

@@ -16,7 +16,6 @@
 //! epoch (its replay is the policies' runtime), and `rem-fleet` runs
 //! each train's A3 trigger on it.
 
-pub mod capacity;
 pub mod conflict;
 pub mod events;
 pub mod feedback;
@@ -26,7 +25,6 @@ pub mod rem_policy;
 pub mod statemachine;
 pub mod x2;
 
-pub use capacity::{capacity_equivalent_a3_offset, capacity_mbps};
 pub use conflict::{a3_graph_from_policies, scan_conflicts, A3Graph, TwoCellConflict};
 pub use events::{EventConfig, EventKind, EventMonitor};
 pub use messages::RrcMessage;

@@ -24,5 +24,5 @@ pub use resilience::{
 pub use tcp::{
     simulate_transfer, simulate_transfer_resilient, try_simulate_transfer,
     try_simulate_transfer_resilient, BloatEpisode, CongestionControl, JitterEpisode, LinkModel,
-    LossEpisode, NatRebind, Outage, TcpConfig, TcpError, TcpTrace,
+    NatRebind, Outage, TcpConfig, TcpError, TcpTrace,
 };

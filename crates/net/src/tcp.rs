@@ -150,29 +150,6 @@ impl Outage {
     }
 }
 
-/// A bursty-loss window: while active, the packet-loss probability is
-/// raised to `loss_prob` (the base random loss still applies outside).
-///
-/// Fault-injection campaigns map their TCP loss bursts onto these
-/// episodes, so a radio-layer fault plan degrades the transport replay
-/// without taking the link fully down the way an [`Outage`] does.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LossEpisode {
-    /// Start (ms).
-    pub start_ms: f64,
-    /// End (ms).
-    pub end_ms: f64,
-    /// Loss probability while the episode is active.
-    pub loss_prob: f64,
-}
-
-impl LossEpisode {
-    /// Whether `t` falls inside the episode.
-    pub fn contains(&self, t: f64) -> bool {
-        t >= self.start_ms && t < self.end_ms
-    }
-}
-
 /// A bufferbloat episode: while active, every packet passes through a
 /// finite bottleneck queue that services one packet per
 /// `1 / drain_pkts_per_ms` ms. Backlog inflates the delivery delay
@@ -251,10 +228,6 @@ pub struct LinkModel {
     pub loss_prob: f64,
     /// Radio outages (e.g. from handover failures).
     pub outages: Vec<Outage>,
-    /// Bursty-loss windows (e.g. from injected TCP faults). Absent in
-    /// serialized links from before this field existed.
-    #[serde(default)]
-    pub episodes: Vec<LossEpisode>,
     /// Bufferbloat episodes (finite bottleneck queue). Absent in links
     /// serialized before the pathology layer existed.
     #[serde(default)]
@@ -279,7 +252,6 @@ impl Default for LinkModel {
             capacity_pkts_per_ms: 2.0,
             loss_prob: 0.0,
             outages: vec![],
-            episodes: vec![],
             bloat: vec![],
             jitter: vec![],
             rebinds: vec![],
@@ -311,15 +283,6 @@ impl LinkModel {
         self.rebinds.iter().filter(|r| r.t_ms <= t).count()
     }
 
-    /// Effective loss probability at `t`: the base rate, raised by any
-    /// active bursty-loss episode.
-    pub fn loss_prob_at(&self, t: f64) -> f64 {
-        self.episodes
-            .iter()
-            .filter(|e| e.contains(t))
-            .fold(self.loss_prob, |p, e| p.max(e.loss_prob))
-    }
-
     /// Checks the link for values the replay cannot handle.
     pub fn validate(&self) -> Result<(), TcpError> {
         let bad = |why: String| Err(TcpError::InvalidLink(why));
@@ -335,14 +298,6 @@ impl LinkModel {
         for o in &self.outages {
             if !(o.start_ms.is_finite() && o.end_ms.is_finite() && o.start_ms <= o.end_ms) {
                 return bad(format!("outage [{}, {}] is malformed", o.start_ms, o.end_ms));
-            }
-        }
-        for e in &self.episodes {
-            if !(e.start_ms.is_finite() && e.end_ms.is_finite() && e.start_ms <= e.end_ms) {
-                return bad(format!("episode [{}, {}] is malformed", e.start_ms, e.end_ms));
-            }
-            if !(0.0..=1.0).contains(&e.loss_prob) {
-                return bad(format!("episode loss_prob {} outside [0, 1]", e.loss_prob));
             }
         }
         for b in &self.bloat {
@@ -959,7 +914,7 @@ struct PathState {
 /// overflow, or the random-loss coin).
 ///
 /// RNG discipline: the main `rng` is consumed *only* for the loss coin
-/// and only when `loss_prob_at > 0` — exactly the legacy sequence — so
+/// and only when `loss_prob > 0` — exactly the legacy sequence — so
 /// pathology-free replays stay bit-identical to the historical model.
 /// Jitter draws come from the isolated `path_rng` stream.
 fn transmit(
@@ -1000,7 +955,7 @@ fn transmit(
         path.q_busy_until = service_start + service_ms;
         extra += path.q_busy_until - t;
     }
-    let p = link.loss_prob_at(t);
+    let p = link.loss_prob;
     if p > 0.0 && rng.gen::<f64>() < p {
         return None;
     }
@@ -1177,11 +1132,6 @@ mod validation_tests {
             ..Default::default()
         };
         assert!(matches!(link.validate(), Err(TcpError::InvalidLink(_))));
-        let link = LinkModel {
-            episodes: vec![LossEpisode { start_ms: 0.0, end_ms: 100.0, loss_prob: 2.0 }],
-            ..Default::default()
-        };
-        assert!(matches!(link.validate(), Err(TcpError::InvalidLink(_))));
     }
 
     #[test]
@@ -1205,69 +1155,14 @@ mod validation_tests {
 #[cfg(test)]
 mod episode_tests {
     use super::*;
-    use rem_num::rng::rng_from_seed;
-
-    fn run(link: &LinkModel, ms: f64, seed: u64) -> TcpTrace {
-        simulate_transfer(&TcpConfig::default(), link, ms, &mut rng_from_seed(seed))
-    }
-
-    #[test]
-    fn episode_raises_loss_prob_only_inside_window() {
-        let link = LinkModel {
-            loss_prob: 0.01,
-            episodes: vec![LossEpisode { start_ms: 100.0, end_ms: 200.0, loss_prob: 0.4 }],
-            ..Default::default()
-        };
-        assert_eq!(link.loss_prob_at(50.0), 0.01);
-        assert_eq!(link.loss_prob_at(150.0), 0.4);
-        assert_eq!(link.loss_prob_at(250.0), 0.01);
-        // An episode weaker than the base rate never lowers it.
-        let weak = LinkModel {
-            loss_prob: 0.5,
-            episodes: vec![LossEpisode { start_ms: 0.0, end_ms: 100.0, loss_prob: 0.1 }],
-            ..Default::default()
-        };
-        assert_eq!(weak.loss_prob_at(50.0), 0.5);
-    }
-
-    #[test]
-    fn bursty_loss_reduces_goodput() {
-        let clean = run(&LinkModel::default(), 10_000.0, 11).total_acked_bytes;
-        let bursty = run(
-            &LinkModel {
-                episodes: vec![LossEpisode {
-                    start_ms: 2_000.0,
-                    end_ms: 5_000.0,
-                    loss_prob: 0.35,
-                }],
-                ..Default::default()
-            },
-            10_000.0,
-            11,
-        )
-        .total_acked_bytes;
-        assert!(bursty < clean, "bursty={bursty} clean={clean}");
-        assert!(bursty > 0);
-    }
 
     #[test]
     fn episodes_deserialize_as_empty_when_absent() {
-        // Links serialized before the field existed must still load.
+        // Links serialized before the pathology fields existed must
+        // still load, with no episodes.
         let json = r#"{"rtt_ms":40.0,"capacity_pkts_per_ms":2.0,"loss_prob":0.0,"outages":[]}"#;
         let link: LinkModel = serde_json::from_str(json).expect("legacy link JSON");
-        assert!(link.episodes.is_empty());
-    }
-
-    #[test]
-    fn episode_runs_are_deterministic() {
-        let link = LinkModel {
-            episodes: vec![LossEpisode { start_ms: 500.0, end_ms: 2_500.0, loss_prob: 0.3 }],
-            ..Default::default()
-        };
-        let a = run(&link, 5_000.0, 12);
-        let b = run(&link, 5_000.0, 12);
-        assert_eq!(a.total_acked_bytes, b.total_acked_bytes);
-        assert_eq!(a.rto_events, b.rto_events);
+        assert!(link.bloat.is_empty() && link.jitter.is_empty() && link.rebinds.is_empty());
     }
 }
 
@@ -1362,7 +1257,6 @@ mod resilience_tests {
         let link = LinkModel {
             loss_prob: 0.02,
             outages: vec![Outage { start_ms: 3_000.0, end_ms: 4_500.0 }],
-            episodes: vec![LossEpisode { start_ms: 6_000.0, end_ms: 7_000.0, loss_prob: 0.3 }],
             ..Default::default()
         };
         for seed in [1u64, 9, 77] {

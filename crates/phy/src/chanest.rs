@@ -12,7 +12,7 @@
 //! sampled `H_tf` equals the normalised delay-Doppler matrix
 //! `(Γ/M) P (Φ/N)` of [`rem_channel::delaydoppler`].
 
-use crate::dsp::{with_thread_scratch, DspScratch};
+use crate::dsp::DspScratch;
 use crate::otfs::{isfft, isfft_into};
 use rem_channel::{DdGrid, MultipathChannel};
 use rem_num::rng::complex_gaussian;
@@ -21,7 +21,7 @@ use rem_num::{CMatrix, SimRng};
 
 /// Pilot-based time-frequency channel estimate: true gains plus
 /// estimation noise at the given pilot SNR (per resource element).
-pub fn estimate_tf(
+fn estimate_tf(
     grid: &DdGrid,
     ch: &MultipathChannel,
     pilot_snr_db: f64,
@@ -34,13 +34,9 @@ pub fn estimate_tf(
 
 /// Transforms a sampled time-frequency channel to the delay-Doppler
 /// domain (the smoothing step the paper credits for noise robustness:
-/// white TF noise spreads evenly over the DD grid).
-pub fn tf_to_dd(tf: &CMatrix) -> CMatrix {
-    isfft(tf)
-}
-
-/// [`tf_to_dd`] into a caller-provided output matrix with reused plans
-/// and buffers, for per-subframe estimation loops.
+/// white TF noise spreads evenly over the DD grid) into a
+/// caller-provided output matrix with reused plans and buffers, for
+/// per-subframe estimation loops.
 pub fn tf_to_dd_into(tf: &CMatrix, out: &mut CMatrix, ws: &mut DspScratch) {
     isfft_into(tf, out, ws);
 }
@@ -54,25 +50,11 @@ pub fn estimate_dd(
     pilot_snr_db: f64,
     rng: &mut SimRng,
 ) -> CMatrix {
-    with_thread_scratch(|ws| estimate_dd_with(grid, ch, pilot_snr_db, rng, ws))
-}
-
-/// [`estimate_dd`] with caller-provided DSP scratch.
-pub fn estimate_dd_with(
-    grid: &DdGrid,
-    ch: &MultipathChannel,
-    pilot_snr_db: f64,
-    rng: &mut SimRng,
-    ws: &mut DspScratch,
-) -> CMatrix {
-    let mut out = CMatrix::zeros(grid.m, grid.n);
     if pilot_snr_db.is_infinite() {
-        let truth = ch.tf_grid(grid.m, grid.n, grid.delta_f, grid.t_sym);
-        tf_to_dd_into(&truth, &mut out, ws);
+        isfft(&ch.tf_grid(grid.m, grid.n, grid.delta_f, grid.t_sym))
     } else {
-        tf_to_dd_into(&estimate_tf(grid, ch, pilot_snr_db, rng), &mut out, ws);
+        isfft(&estimate_tf(grid, ch, pilot_snr_db, rng))
     }
-    out
 }
 
 #[cfg(test)]
@@ -122,7 +104,7 @@ mod tests {
         // is preserved but spread thin across the grid.
         let grid = DdGrid::lte(12, 14);
         let ch = MultipathChannel::flat(Complex64::ONE);
-        let truth = tf_to_dd(&ch.tf_grid(grid.m, grid.n, grid.delta_f, grid.t_sym));
+        let truth = isfft(&ch.tf_grid(grid.m, grid.n, grid.delta_f, grid.t_sym));
         let mut rng = rng_from_seed(3);
         let est = estimate_dd(&grid, &ch, 10.0, &mut rng);
         let err = &est - &truth;

@@ -387,30 +387,19 @@ fn branch_cost(bit: bool, llr: f64) -> f64 {
     }
 }
 
-/// Hard-decision convenience wrapper: equivalent to feeding ±1
-/// pseudo-LLRs to [`decode_soft`].
+/// Hard-decision decoding: equivalent to feeding ±1 pseudo-LLRs to
+/// [`decode_soft`]. Routes through the same flat-trellis core as soft
+/// decoding, deriving the pseudo-LLRs on the fly instead of allocating
+/// a `Vec<f64>`.
 pub fn decode_hard(coded: &[bool], payload_len: usize) -> Option<Vec<bool>> {
-    crate::dsp::with_thread_scratch(|ws| decode_hard_with(coded, payload_len, &mut ws.trellis))
-}
-
-/// [`decode_hard`] with caller-provided trellis scratch. Routes
-/// through the same flat-trellis core as soft decoding, deriving the
-/// ±1 pseudo-LLRs on the fly instead of allocating a `Vec<f64>`.
-pub fn decode_hard_with(
-    coded: &[bool],
-    payload_len: usize,
-    ws: &mut TrellisScratch,
-) -> Option<Vec<bool>> {
     let total = payload_len + TAIL_BITS;
     if coded.len() < RATE_INV * total {
         return None;
     }
-    Some(viterbi_flat(
-        |i| if coded[i] { -1.0 } else { 1.0 },
-        payload_len,
-        ws,
-        simd::active_tier(),
-    ))
+    let llr = |i: usize| if coded[i] { -1.0 } else { 1.0 };
+    Some(crate::dsp::with_thread_scratch(|ws| {
+        viterbi_flat(llr, payload_len, &mut ws.trellis, simd::active_tier())
+    }))
 }
 
 #[cfg(test)]

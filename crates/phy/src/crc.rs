@@ -8,7 +8,7 @@
 
 /// Computes the CRC-16/CCITT-FALSE over a bit sequence (MSB-first per
 /// conceptual byte; we operate directly on bits).
-pub fn crc16(bits: &[bool]) -> u16 {
+fn crc16(bits: &[bool]) -> u16 {
     let mut crc: u16 = 0xFFFF;
     for &b in bits {
         let top = (crc >> 15) & 1 == 1;

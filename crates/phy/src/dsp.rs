@@ -3,7 +3,7 @@
 //! Every Monte-Carlo trial runs the same transforms over the same grid
 //! sizes, so the expensive setup — FFT plans (twiddle tables, bit
 //! reversal, Bluestein kernels), the Viterbi traceback trellis, and the
-//! batched-line, OFDM symbol and LLR working buffers — is hoisted into a
+//! batched-line and LLR working buffers — is hoisted into a
 //! [`DspScratch`] that a worker builds once and threads through every
 //! block it simulates (see `rem_exec::par_map_with`).
 //!
@@ -17,22 +17,19 @@ use rem_num::{c64, CMatrix, Complex64, FftDirection, FftPlanner, FftScratch, Lan
 use std::cell::RefCell;
 
 /// Per-worker scratch for the coded-block pipeline: FFT planner + plan
-/// scratch (one-vector and batched), the batched grid lines, the OFDM
-/// symbol buffer, the demapper's LLR buffer and the Viterbi
-/// trellis.
+/// scratch (one-vector and batched), the batched grid lines, the
+/// demapper's LLR buffer and the Viterbi trellis.
 #[derive(Debug, Default)]
 pub struct DspScratch {
     /// Cached FFT plans keyed by length.
-    pub(crate) planner: FftPlanner,
+    planner: FftPlanner,
     /// Bluestein convolution scratch shared by every plan, one-vector
     /// and batched.
-    pub(crate) fft: FftScratch,
+    fft: FftScratch,
     /// [`BATCH`] grid lines as a structure of arrays, one [`Lanes`] per
     /// element: the real parts here, the imaginary parts in `lines_im`.
     lines_re: Vec<Lanes>,
     lines_im: Vec<Lanes>,
-    /// Time-domain OFDM symbol buffer (the FFT size).
-    pub(crate) symbol: Vec<Complex64>,
     /// Soft-demapper LLR accumulation buffer.
     pub(crate) llrs: Vec<f64>,
     /// Flat bit-packed Viterbi traceback.
@@ -44,25 +41,6 @@ impl DspScratch {
     /// afterwards.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// In-place planned forward FFT.
-    pub fn fft_in_place(&mut self, data: &mut [Complex64]) {
-        let plan = self.planner.plan(data.len());
-        plan.forward(data, &mut self.fft);
-    }
-
-    /// In-place planned inverse FFT (with `1/N` scaling).
-    pub fn ifft_in_place(&mut self, data: &mut [Complex64]) {
-        let plan = self.planner.plan(data.len());
-        plan.inverse(data, &mut self.fft);
-    }
-
-    /// In-place planned inverse FFT **without** the `1/N` scaling (the
-    /// form the symplectic transforms consume).
-    pub fn ifft_unnormalized_in_place(&mut self, data: &mut [Complex64]) {
-        let plan = self.planner.plan(data.len());
-        plan.inverse_unnormalized(data, &mut self.fft);
     }
 
     /// Transforms every row or every column of `mat` in place, [`BATCH`]
@@ -103,15 +81,6 @@ impl DspScratch {
             }
         }
     }
-
-    /// Resizes an internal buffer to exactly `len` elements and returns
-    /// it (contents arbitrary — callers must overwrite).
-    pub(crate) fn buf(v: &mut Vec<Complex64>, len: usize) -> &mut [Complex64] {
-        if v.len() != len {
-            v.resize(len, Complex64::ZERO);
-        }
-        &mut v[..]
-    }
 }
 
 /// The lines of a matrix [`DspScratch::transform_lines`] transforms.
@@ -143,52 +112,15 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut DspScratch) -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rem_num::c64;
-
-    #[test]
-    fn in_place_transforms_round_trip() {
-        let mut ws = DspScratch::new();
-        for n in [1usize, 2, 12, 14, 600] {
-            let orig: Vec<Complex64> =
-                (0..n).map(|i| c64((i as f64).sin(), (i as f64).cos())).collect();
-            let mut data = orig.clone();
-            ws.fft_in_place(&mut data);
-            ws.ifft_in_place(&mut data);
-            for (a, b) in data.iter().zip(&orig) {
-                assert!(a.dist(*b) < 1e-9, "n={n}");
-            }
-        }
-        // One plan per distinct length.
-        assert_eq!(ws.planner.cached_lengths(), 5);
-    }
-
-    #[test]
-    fn unnormalized_inverse_differs_by_exactly_n() {
-        let mut ws = DspScratch::new();
-        let n = 14;
-        let orig: Vec<Complex64> = (0..n).map(|i| c64(i as f64, -(i as f64))).collect();
-        let mut a = orig.clone();
-        let mut b = orig.clone();
-        ws.ifft_in_place(&mut a);
-        ws.ifft_unnormalized_in_place(&mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert!(x.scale(n as f64).dist(*y) < 1e-9);
-        }
-    }
 
     #[test]
     fn thread_scratch_is_reentrant_safe() {
-        let outer = with_thread_scratch(|ws| {
-            let mut data = vec![c64(1.0, 0.0); 8];
-            ws.fft_in_place(&mut data);
+        let inner_len = with_thread_scratch(|ws| {
+            ws.llrs.push(1.0);
             // A nested wrapper call while the thread scratch is held
-            // must not panic.
-            with_thread_scratch(|inner| {
-                let mut d2 = vec![c64(1.0, 0.0); 8];
-                inner.fft_in_place(&mut d2);
-                d2[0]
-            })
+            // must not panic; it gets a fresh scratch of its own.
+            with_thread_scratch(|inner| inner.llrs.len())
         });
-        assert!(outer.dist(c64(8.0, 0.0)) < 1e-12);
+        assert_eq!(inner_len, 0);
     }
 }

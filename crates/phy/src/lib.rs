@@ -8,7 +8,10 @@
 //! (with Doppler-induced ICI), the OTFS symplectic transform pair, the
 //! scheduling-based OTFS signaling/data coexistence of paper §5.1,
 //! delay-Doppler channel estimation (§5.2, Fig 7) and a link-level
-//! block simulator producing the BLER curves of Fig 10.
+//! block simulator producing the BLER curves of Fig 10: one coded block
+//! per Monte-Carlo trial. Its tests check the grid-level OFDM model
+//! (Doppler ICI, multipath inside and beyond the cyclic prefix) against
+//! a sample-level time-domain modem that is compiled for tests only.
 //!
 //! ```
 //! use rem_phy::link::{BlerScenario, Waveform};
@@ -26,7 +29,6 @@
 //!            scenario.with_threads(4).outcomes());
 //! ```
 
-pub mod batch;
 pub mod chanest;
 pub mod convcode;
 pub mod crc;
@@ -35,13 +37,12 @@ pub mod interleaver;
 pub mod link;
 pub mod mp_detect;
 pub mod ofdm;
-pub mod ofdm_td;
+#[cfg(test)]
+mod ofdm_td;
 pub mod otfs;
 pub mod qam;
-pub mod scfdma;
 pub mod scheduler;
 
-pub use batch::{BatchJob, LinkBatch};
 pub use dsp::DspScratch;
 pub use link::{simulate_block, simulate_block_with, BlerScenario, BlockOutcome, LinkConfig, Waveform};
 pub use qam::Modulation;

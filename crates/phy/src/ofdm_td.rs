@@ -2,9 +2,9 @@
 //! delay line with per-tap Doppler rotation.
 //!
 //! The rest of the workspace models OFDM at the resource-element level
-//! (`Y = H ∘ X` plus an analytic ICI term). This module implements the
-//! actual waveform so that model can be *validated* rather than
-//! assumed:
+//! (`Y = H ∘ X` plus an analytic ICI term). This test-only reference
+//! implements the actual waveform so that model is *validated* rather
+//! than assumed:
 //!
 //! * static multipath inside the CP → the demodulated grid matches the
 //!   sampled `H(f)` exactly (no ISI);
@@ -17,34 +17,34 @@
 //! `0..M` (baseband-adjacent mapping); sample rate `fs = fft_size *
 //! delta_f`; tap delays are rounded to whole samples.
 
-use crate::dsp::{with_thread_scratch, DspScratch};
 use rem_channel::{DdGrid, MultipathChannel};
+use rem_num::fft::{fft, ifft};
 use rem_num::{CMatrix, Complex64};
 use std::f64::consts::PI;
 
 /// Time-domain OFDM parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TdParams {
+struct TdParams {
     /// IFFT/FFT size (must be a power of two and `>= grid.m`).
-    pub fft_size: usize,
+    fft_size: usize,
     /// Cyclic-prefix length in samples.
-    pub cp_len: usize,
+    cp_len: usize,
 }
 
 impl TdParams {
     /// LTE-ish defaults for a given grid: 128-point FFT, 9-sample CP
     /// (normal CP ratio ~1/14).
-    pub fn lte_like() -> Self {
+    fn lte_like() -> Self {
         Self { fft_size: 128, cp_len: 9 }
     }
 
     /// Samples per OFDM symbol including CP.
-    pub fn symbol_len(&self) -> usize {
+    fn symbol_len(&self) -> usize {
         self.fft_size + self.cp_len
     }
 
     /// Sample rate implied by a grid's subcarrier spacing.
-    pub fn sample_rate(&self, grid: &DdGrid) -> f64 {
+    fn sample_rate(&self, grid: &DdGrid) -> f64 {
         self.fft_size as f64 * grid.delta_f
     }
 }
@@ -54,27 +54,18 @@ impl TdParams {
 ///
 /// # Panics
 /// Panics if `fft_size < grid rows` or `fft_size` is not a power of two.
-pub fn td_modulate(grid_data: &CMatrix, p: &TdParams) -> Vec<Complex64> {
-    with_thread_scratch(|ws| td_modulate_with(grid_data, p, ws))
-}
-
-/// [`td_modulate`] with caller-provided DSP scratch: the per-symbol
-/// IFFT buffer and the FFT plan are reused across calls.
-pub fn td_modulate_with(grid_data: &CMatrix, p: &TdParams, ws: &mut DspScratch) -> Vec<Complex64> {
+fn td_modulate(grid_data: &CMatrix, p: &TdParams) -> Vec<Complex64> {
     let (m, n) = grid_data.shape();
     assert!(p.fft_size >= m, "fft_size must cover the occupied subcarriers");
     assert!(p.fft_size.is_power_of_two(), "fft_size must be a power of two");
     let mut out = Vec::with_capacity(n * p.symbol_len());
-    let plan = ws.planner.plan(p.fft_size);
-    let buf = DspScratch::buf(&mut ws.symbol, p.fft_size);
+    let mut buf = vec![Complex64::ZERO; p.fft_size];
     for sym in 0..n {
-        for b in buf.iter_mut() {
-            *b = Complex64::ZERO;
-        }
+        buf.fill(Complex64::ZERO);
         for sc in 0..m {
             buf[sc] = grid_data[(sc, sym)];
         }
-        plan.inverse(buf, &mut ws.fft);
+        ifft(&mut buf);
         // ifft yields per-sample power M/N^2 for unit-power symbols on
         // M of N bins; scaling by N/sqrt(M) restores unit average
         // sample power on air.
@@ -92,7 +83,7 @@ pub fn td_modulate_with(grid_data: &CMatrix, p: &TdParams, ws: &mut DspScratch) 
 /// Applies a multipath channel to time samples: each tap delays by
 /// `round(tau * fs)` samples and rotates with its Doppler:
 /// `y[i] = sum_p h_p e^{j 2 pi nu_p t_i} x[i - d_p]`.
-pub fn td_channel(
+fn td_channel(
     samples: &[Complex64],
     ch: &MultipathChannel,
     sample_rate_hz: f64,
@@ -111,28 +102,16 @@ pub fn td_channel(
 
 /// Demodulates time samples back to the frequency-domain grid
 /// (inverse of [`td_modulate`], assuming symbol alignment).
-pub fn td_demodulate(samples: &[Complex64], m: usize, n: usize, p: &TdParams) -> CMatrix {
-    with_thread_scratch(|ws| td_demodulate_with(samples, m, n, p, ws))
-}
-
-/// [`td_demodulate`] with caller-provided DSP scratch.
-pub fn td_demodulate_with(
-    samples: &[Complex64],
-    m: usize,
-    n: usize,
-    p: &TdParams,
-    ws: &mut DspScratch,
-) -> CMatrix {
+fn td_demodulate(samples: &[Complex64], m: usize, n: usize, p: &TdParams) -> CMatrix {
     assert!(samples.len() >= n * p.symbol_len(), "not enough samples");
     let mut out = CMatrix::zeros(m, n);
-    let plan = ws.planner.plan(p.fft_size);
-    let buf = DspScratch::buf(&mut ws.symbol, p.fft_size);
+    let mut buf = vec![Complex64::ZERO; p.fft_size];
     // Inverse of the modulator's N/sqrt(M) amplitude scaling.
     let amp = p.fft_size as f64 / (m as f64).sqrt();
     for sym in 0..n {
         let start = sym * p.symbol_len() + p.cp_len;
         buf.copy_from_slice(&samples[start..start + p.fft_size]);
-        plan.forward(buf, &mut ws.fft);
+        fft(&mut buf);
         for sc in 0..m {
             out[(sc, sym)] = buf[sc].scale(1.0 / amp);
         }
@@ -140,9 +119,9 @@ pub fn td_demodulate_with(
     out
 }
 
-/// Convenience: modulate, run the channel, demodulate. Returns the
-/// received frequency-domain grid.
-pub fn td_through_channel(
+/// Modulate, run the channel, demodulate. Returns the received
+/// frequency-domain grid.
+fn td_through_channel(
     grid_data: &CMatrix,
     grid: &DdGrid,
     ch: &MultipathChannel,

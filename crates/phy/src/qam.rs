@@ -112,31 +112,24 @@ pub fn demodulate_hard(symbols: &[Complex64], m: Modulation) -> Vec<bool> {
     out
 }
 
-/// Soft demapping to per-bit LLRs (`> 0` favours bit value 0 under the
-/// convention `llr = log P(b=0) - log P(b=1)`), max-log approximation.
-/// `noise_var` is the total complex noise variance per symbol.
-pub fn demodulate_soft(symbols: &[Complex64], m: Modulation, noise_var: f64) -> Vec<f64> {
-    let mut out = Vec::with_capacity(symbols.len() * m.bits_per_symbol());
-    demodulate_soft_into(symbols, m, noise_var, &mut out);
+/// Soft demapping with one noise variance for the whole slice, on the
+/// active SIMD tier: the uniform-variance reference the tests check the
+/// demapper against.
+#[cfg(test)]
+fn demodulate_soft(symbols: &[Complex64], m: Modulation, noise_var: f64) -> Vec<f64> {
+    let mut out = Vec::new();
+    demod_dispatch(symbols, m, NvSrc::Uniform(noise_var), &mut out, simd::active_tier());
     out
 }
 
-/// [`demodulate_soft`] appending into a caller-provided buffer, for hot
-/// loops that demap without a fresh `Vec` per call. Runs on the active
-/// SIMD tier (bit-identical to the scalar path, see [`rem_num::simd`]).
-pub fn demodulate_soft_into(
-    symbols: &[Complex64],
-    m: Modulation,
-    noise_var: f64,
-    out: &mut Vec<f64>,
-) {
-    demod_dispatch(symbols, m, NvSrc::Uniform(noise_var), out, simd::active_tier());
-}
-
-/// [`demodulate_soft_into`] with one noise variance **per symbol** —
-/// the OFDM receiver's case, where each resource element sees its own
+/// Soft demapping to per-bit LLRs (`> 0` favours bit value 0 under the
+/// convention `llr = log P(b=0) - log P(b=1)`), max-log approximation,
+/// with one total complex noise variance **per symbol** — the
+/// receiver's case, where each resource element sees its own
 /// post-equalisation noise level. Appends `bits_per_symbol` LLRs per
-/// symbol. Each variance is clamped to `>= 1e-12`.
+/// symbol into a caller-provided buffer. Runs on the active SIMD tier
+/// (bit-identical to the scalar path, see [`rem_num::simd`]). Each
+/// variance is clamped to `>= 1e-12`.
 ///
 /// # Panics
 /// Panics if `noise_vars.len() != symbols.len()`.
@@ -149,8 +142,9 @@ pub fn demodulate_soft_per_symbol_into(
     demod_dispatch(symbols, m, NvSrc::PerSymbol(noise_vars), out, simd::active_tier());
 }
 
-/// [`demodulate_soft_into`] on an explicit SIMD tier (scalar fallback
-/// when unavailable); for equivalence tests and the `dsp_json` bench.
+/// Soft demapping with one noise variance for every symbol, on an
+/// explicit SIMD tier (scalar fallback when unavailable); for
+/// equivalence tests and the `dsp_json` bench.
 pub fn demodulate_soft_into_with_tier(
     symbols: &[Complex64],
     m: Modulation,
@@ -621,8 +615,7 @@ mod simd_tests {
     fn per_symbol_with_uniform_vars_equals_uniform_entry() {
         let syms = test_symbols(24);
         for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
-            let mut a = Vec::new();
-            demodulate_soft_into(&syms, m, 0.3, &mut a);
+            let a = demodulate_soft(&syms, m, 0.3);
             let mut b = Vec::new();
             demodulate_soft_per_symbol_into(&syms, m, &[0.3; 24], &mut b);
             assert_eq!(a, b, "{m:?}");

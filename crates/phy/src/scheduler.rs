@@ -131,11 +131,6 @@ impl Scheduler {
         self.signaling_q.len()
     }
 
-    /// Pending data bytes.
-    pub fn data_backlog(&self) -> usize {
-        self.data_backlog_bytes
-    }
-
     fn slots_for_bits(&self, bits: usize) -> usize {
         bits.div_ceil(self.bits_per_slot)
     }
@@ -278,7 +273,7 @@ mod tests {
         assert_eq!(p2.data_bytes, 21);
         let p3 = s.schedule_subframe();
         assert_eq!(p3.data_bytes, 8);
-        assert_eq!(s.data_backlog(), 0);
+        assert_eq!(s.data_backlog_bytes, 0);
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod deployment;
 pub mod error;
 pub mod linkmodel;
 pub mod metrics;
-pub mod predict;
 pub mod radio;
 pub mod run;
 pub mod trace;
@@ -38,7 +37,6 @@ pub use dataset::DatasetSpec;
 pub use deployment::{Deployment, DeploymentSpec};
 pub use error::ParseError;
 pub use metrics::{FailureRecord, HandoverRecord, LoopRecord, RunMetrics, SignalingCounts};
-pub use predict::TrajectoryFilter;
 pub use radio::{RadioEnv, ShadowingCfg};
 pub use rem_faults::{FaultConfig, FaultKind, FaultMode, FaultPlan, InjectedFault, OraclePair};
 pub use run::{simulate_planes, simulate_run, Plane, ReestablishCfg, RunConfig};

@@ -156,6 +156,11 @@ fn golden_errors_carry_field_paths_per_variant() {
         Err(ScenarioError::Unknown { path }) => assert_eq!(path, "cells.typo_field"),
         other => panic!("expected Unknown, got {other:?}"),
     }
+    // A field `[faults]` does not have is refused, not ignored.
+    match load(&format!("{base}[faults]\ntcp_burst_per_min = 2\n")) {
+        Err(ScenarioError::Unknown { path }) => assert_eq!(path, "faults.tcp_burst_per_min"),
+        other => panic!("expected Unknown, got {other:?}"),
+    }
     match load(&base.replace("route_km = 10", "route_km = \"ten\"")) {
         Err(ScenarioError::BadValue { path, .. }) => assert_eq!(path, "trajectory.route_km"),
         other => panic!("expected BadValue, got {other:?}"),
@@ -428,9 +433,6 @@ fn valid_spec(g: &mut Gen) -> ScenarioSpec {
         extra_delay_ms: opt(g, 1.0, 5_000.0),
         delay_frac: opt(g, 0.0, 0.5),
         corrupt_frac: opt(g, 0.0, 0.5),
-        tcp_burst_per_min: opt(g, 0.0, 10.0),
-        burst_ms: opt(g, 1.0, 1_000.0),
-        burst_loss_prob: opt(g, 0.0, 1.0),
     });
     spec.net = g.bool().then(|| NetSpec {
         bloat_per_min: opt(g, 0.0, 10.0),
